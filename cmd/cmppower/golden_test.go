@@ -139,6 +139,22 @@ func TestGoldenFig3Scenario(t *testing.T) {
 	checkGolden(t, "fig3_biglittle.txt", got)
 }
 
+// TestGoldenFig3BigLittleDTM pins fig3 on the biglittle scenario with the
+// per-domain DTM controller on, including the DTM summary lines.
+func TestGoldenFig3BigLittleDTM(t *testing.T) {
+	got := captureStdout(t, runFig3,
+		[]string{"-apps", "FFT,Radix", "-scale", "0.05", "-j", "2", "-dtm",
+			"-scenario", "../../examples/scenarios/biglittle.json"})
+	checkGolden(t, "fig3_biglittle_dtm.txt", got)
+}
+
+// TestGoldenFig4DTM pins fig4 with the chip-wide DTM controller on.
+func TestGoldenFig4DTM(t *testing.T) {
+	got := captureStdout(t, runFig4,
+		[]string{"-apps", "Cholesky,Radix", "-scale", "0.1", "-j", "2", "-dtm"})
+	checkGolden(t, "fig4_dtm_small.txt", got)
+}
+
 // TestGoldenLoadgenPlan pins the traffic plan report for the checked-in
 // example spec: `loadgen -spec FILE -plan` is a pure function of (spec,
 // seed), so this golden file is the cross-host byte-determinism pin for
