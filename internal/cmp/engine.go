@@ -47,12 +47,14 @@ type runner struct {
 	pos, n int
 }
 
-// engine carries one run's mutable state through either core loop. The
-// two loops — runBatched (default) and runUnbatched (the seed's
-// event-at-a-time reference path) — share every piece of event
-// semantics via handleSync and takeSample, so they can only diverge in
-// scheduling order, which the equivalence tests and doctor check 6 pin
-// to bit-identical.
+// engine carries one run's mutable state through any of the three core
+// loops: runFused (the default), runBatched (runs that trace or sample
+// the interleaving, such as the DTM replay's sampled run) and
+// runUnbatched (the seed's event-at-a-time reference path, selected by
+// Config.Unbatched). They share every piece of event semantics via
+// handleSync, and the two sampling loops via takeSample, so they can only
+// diverge in scheduling order, which the equivalence tests and doctor
+// check 6 pin to bit-identical.
 type engine struct {
 	cfg     Config
 	sources []eventSource

@@ -56,9 +56,12 @@ type Rig struct {
 	// injector reproduces fault-free results bit for bit.
 	Faults *faults.Injector
 	// DTM, when non-nil, enables the dynamic thermal-management controller:
-	// every RunApp additionally replays the run's activity through the
-	// transient thermal network under the controller and attaches the
-	// resulting DTMStats to the Measurement.
+	// a reported measurement additionally replays its run's activity
+	// through the transient thermal network under the controller and
+	// carries the resulting DTMStats. RunApp and its variants always
+	// replay; Scenario I and II replay only the runs they report, not
+	// their profiling runs — except under active fault injection, where
+	// every run replays (see attachDTM).
 	DTM *DTMConfig
 	// Obs, when non-nil, collects run metrics: every simulation publishes
 	// its engine/cache/bus/DRAM counters (see cmp.Config.Metrics), and the
@@ -266,8 +269,25 @@ func (r *Rig) RunAppCtx(ctx context.Context, app splash.App, n int, p dvfs.Opera
 // the rig stays safe for concurrent cloned use. When a memo cache is
 // enabled (EnableMemo) and fault injection is off, identical runs are
 // served from the cache; fault injection bypasses the cache entirely
-// because the injector's streams make runs order-dependent.
+// because the injector's streams make runs order-dependent. On a DTM rig
+// the result always carries the run's DTM stats (see attachDTM).
 func (r *Rig) RunAppSeeded(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (*Measurement, error) {
+	m, err := r.measure(ctx, app, n, p, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.attachDTM(ctx, app, m, seed); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// measure is RunAppSeeded without the DTM replay: the scenarios call it
+// for profiling runs whose measurements never reach an output, and attach
+// the replay (attachDTM) only to the measurements they report. Under
+// active fault injection runApp still replays eagerly, so there the
+// result already carries its DTM stats.
+func (r *Rig) measure(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (*Measurement, error) {
 	if !app.RunsOn(n) {
 		return nil, fmt.Errorf("experiment: %s does not run on %d cores", app.Name, n)
 	}
@@ -279,7 +299,7 @@ func (r *Rig) RunAppSeeded(ctx context.Context, app splash.App, n int, p dvfs.Op
 	return r.runApp(ctx, app, n, p, seed)
 }
 
-// runApp is the uncached run path behind RunAppSeeded.
+// runApp is the uncached run path behind measure.
 func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (m *Measurement, err error) {
 	fail := func(step string, err error) error {
 		return &RunError{App: app.Name, N: n, Point: p, Seed: seed, Step: step, Err: err}
@@ -354,28 +374,18 @@ func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.Operatin
 		BusUtil: res.BusUtilization, MemUtil: res.MemUtilization,
 		ECCRetries: res.CacheStats.ECCRetries,
 	}
-	if r.DTM != nil {
-		st, err := r.runDTM(ctx, app, n, p, res.Cycles, seed)
-		if err != nil {
-			return nil, fail("dtm", err)
-		}
-		m.DTM = st
-		r.Obs.Counter("dtm_emergencies_total").Add(int64(st.Emergencies))
-		r.Obs.Counter("dtm_transitions_total").Add(int64(st.Transitions))
-		r.Obs.Counter("dtm_failed_transitions_total").Add(int64(st.FailedTransitions))
-		r.Obs.Histogram("dtm_throttle_residency", dtmResidencyBounds).Observe(st.ThrottleResidency)
-		if st.FloorHit {
-			r.Obs.Counter("dtm_floor_hits_total").Add(1)
+	if !r.memoizable() {
+		// The injector's sensor and DVFS streams make every replay
+		// observable, so under active fault injection each run replays
+		// DTM right after it simulates, in run order.
+		if err := r.attachDTM(ctx, app, m, seed); err != nil {
+			return nil, err
 		}
 	}
 	r.Obs.Counter("experiment_runs_total").Add(1)
 	r.feedSurrogate(m)
 	return m, nil
 }
-
-// dtmResidencyBounds bins the fraction of a run spent throttled (a
-// per-run throttle-interval summary: 0 means the controller never bit).
-var dtmResidencyBounds = []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75}
 
 // ScenarioIRow is one configuration of the Fig. 3 experiment.
 type ScenarioIRow struct {
@@ -411,7 +421,9 @@ type ScenarioIResult struct {
 // ScenarioI reproduces the paper's §4.1 experiment for one application:
 // profile at nominal frequency for every core count, derive each
 // configuration's target frequency from Eq. 7, re-simulate at the scaled
-// operating point, and report the five Fig. 3 panels.
+// operating point, and report the five Fig. 3 panels. On a DTM rig the
+// baseline and each scaled run carry DTM stats; the profiling runs do not
+// replay DTM (see attachDTM).
 func (r *Rig) ScenarioI(app splash.App, coreCounts []int) (*ScenarioIResult, error) {
 	return r.ScenarioICtx(context.Background(), app, coreCounts)
 }
@@ -431,7 +443,7 @@ func (r *Rig) ScenarioICtx(ctx context.Context, app splash.App, coreCounts []int
 		if n == 1 || !app.RunsOn(n) {
 			continue
 		}
-		prof, err := r.RunAppCtx(ctx, app, n, r.Table.Nominal())
+		prof, err := r.measure(ctx, app, n, r.Table.Nominal(), r.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -519,7 +531,9 @@ func (r *Rig) profilePoints() []dvfs.OperatingPoint {
 // for each core count, find via profiling the highest operating point
 // whose measured power fits the single-core budget, then measure the
 // actual speedup there; the nominal speedup comes from the unconstrained
-// profiling pass.
+// profiling pass. On a DTM rig only the measurements a row keeps — the
+// baseline, a non-binding nominal run, or the final budget-fitting run —
+// replay DTM; the grid and guard-loop runs do not (see attachDTM).
 func (r *Rig) ScenarioII(app splash.App, coreCounts []int) (*ScenarioIIResult, error) {
 	return r.ScenarioIICtx(context.Background(), app, coreCounts)
 }
@@ -541,13 +555,16 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 		if !app.RunsOn(n) {
 			continue
 		}
-		nom, err := r.RunAppCtx(ctx, app, n, r.Table.Nominal())
+		nom, err := r.measure(ctx, app, n, r.Table.Nominal(), r.Seed)
 		if err != nil {
 			return nil, err
 		}
 		row := ScenarioIIRow{N: n, NominalSpeedup: base.Seconds / nom.Seconds}
 		if nom.PowerW <= budget {
 			// Budget not binding: run flat out.
+			if err := r.attachDTM(ctx, app, nom, r.Seed); err != nil {
+				return nil, err
+			}
 			row.ActualSpeedup = row.NominalSpeedup
 			row.Point = r.Table.Nominal()
 			row.PowerW = nom.PowerW
@@ -561,7 +578,7 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 		// budget.
 		var fx, py []float64
 		for _, p := range r.profilePoints() {
-			meas, err := r.RunAppCtx(ctx, app, n, p)
+			meas, err := r.measure(ctx, app, n, p, r.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -578,7 +595,7 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 			targetFreq = r.Table.Min().Freq
 		}
 		point := r.pointFor(targetFreq)
-		final, err := r.RunAppCtx(ctx, app, n, point)
+		final, err := r.measure(ctx, app, n, point, r.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -586,9 +603,12 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 		// exceeds the budget, step down the ladder until it fits.
 		for final.PowerW > budget*1.02 && point.Freq > r.Table.Min().Freq {
 			point = r.Table.Quantize(point.Freq * 0.999) // next step down
-			if final, err = r.RunAppCtx(ctx, app, n, point); err != nil {
+			if final, err = r.measure(ctx, app, n, point, r.Seed); err != nil {
 				return nil, err
 			}
+		}
+		if err := r.attachDTM(ctx, app, final, r.Seed); err != nil {
+			return nil, err
 		}
 		row.ActualSpeedup = base.Seconds / final.Seconds
 		row.Point = point

@@ -114,13 +114,24 @@ func (r *Rig) MemoStats() MemoStats {
 
 // memoEntry is one in-flight or completed cached run. ready is closed
 // once m/err are final; elem links the entry into the LRU list once it
-// has completed successfully (in-flight entries are never evicted).
+// has completed successfully (in-flight entries are never evicted). m
+// never carries DTM stats: dtm holds the run's DTM replay once one has
+// been started (see memoCache.dtm).
 type memoEntry struct {
 	key   memoKey
 	ready chan struct{}
 	m     *Measurement
 	err   error
 	elem  *list.Element
+	dtm   *dtmFlight
+}
+
+// dtmFlight is one entry's DTM replay; ready is closed once st/err are
+// final.
+type dtmFlight struct {
+	ready chan struct{}
+	st    *DTMStats
+	err   error
 }
 
 // memoCache is a concurrency-safe, single-flight measurement cache with
@@ -226,6 +237,46 @@ func (c *memoCache) do(ctx context.Context, k memoKey, reg *obs.Registry, comput
 	c.insert(e, reg)
 	close(e.ready)
 	return m, nil
+}
+
+// dtm returns the DTM stats of k's entry, running replay on the first
+// request only; concurrent requests wait for it (or their own context).
+// A failed replay is reported to its waiters but not kept, so a later
+// request replays again, as do's failed runs re-simulate. Without an
+// entry for k (a failed run, or one the LRU has evicted) the replay runs
+// uncached. Each caller receives its own copy of the stats.
+func (c *memoCache) dtm(ctx context.Context, k memoKey, replay func() (*DTMStats, error)) (*DTMStats, error) {
+	c.mu.Lock()
+	e, ok := c.m[k]
+	if !ok {
+		c.mu.Unlock()
+		return replay()
+	}
+	f := e.dtm
+	if f == nil {
+		f = &dtmFlight{ready: make(chan struct{})}
+		e.dtm = f
+		c.mu.Unlock()
+		f.st, f.err = replay()
+		if f.err != nil {
+			c.mu.Lock()
+			e.dtm = nil
+			c.mu.Unlock()
+		}
+		close(f.ready)
+	} else {
+		c.mu.Unlock()
+		select {
+		case <-f.ready:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	st := *f.st
+	return &st, nil
 }
 
 // clone returns a deep copy of the measurement so cached values can never

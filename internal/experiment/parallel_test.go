@@ -30,6 +30,16 @@ func faultyTestRig(t *testing.T) *Rig {
 	return rig
 }
 
+// dtmTestRig returns a rig with the DTM controller attached and no fault
+// injection, where only the measurements a scenario reports replay DTM.
+func dtmTestRig(t *testing.T) *Rig {
+	t.Helper()
+	rig := testRig(t)
+	dtm := DefaultDTMConfig()
+	rig.DTM = &dtm
+	return rig
+}
+
 func testApps(t *testing.T) []splash.App {
 	t.Helper()
 	return []splash.App{app(t, "FFT"), app(t, "LU"), app(t, "Radix"), app(t, "Ocean")}
@@ -62,8 +72,8 @@ func outcomesEqual(t *testing.T, a, b []SweepOutcome) {
 }
 
 // TestParallelSweepMatchesSerial is the engine's central guarantee: the
-// same sweep at every worker count yields bit-identical outcomes, clean
-// or under fault injection with DTM. Running it under -race also
+// same sweep at every worker count yields bit-identical outcomes, clean,
+// with DTM, or under fault injection with DTM. Running it under -race also
 // exercises the clone/memo paths for data races.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	counts := []int{1, 2, 4}
@@ -72,6 +82,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		build func(t *testing.T) *Rig
 	}{
 		{"clean", testRig},
+		{"dtm", dtmTestRig},
 		{"faults+dtm", faultyTestRig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

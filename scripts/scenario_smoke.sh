@@ -5,7 +5,8 @@
 # (2) A running serve accepts a scenario in the request "chip" field and
 # round-trips the file's content digest in the response. (3) Every spec
 # under examples/scenarios/bad is rejected with exit 1, and `scenario
-# validate` accepts every good example.
+# validate` accepts every good example. (4) fig3 with DTM on the big/little
+# scenario is byte-identical at -j 1 and -j 4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,6 +55,13 @@ echo "== non-baseline scenarios run end to end and hash distinctly =="
 "$BIN" fig3 -apps FFT -scale 0.02 -scenario examples/scenarios/biglittle.json > /dev/null
 "$BIN" fig3 -apps FFT -scale 0.02 -scenario examples/scenarios/3dstack.json > /dev/null
 "$BIN" fig3 -apps FFT -scale 0.02 -scenario examples/scenarios/manycore128.json > /dev/null
+
+echo "== DTM on a multi-domain chip is byte-identical at -j 1 and -j 4 =="
+"$BIN" fig3 -apps FFT -scale 0.02 -dtm -scenario examples/scenarios/biglittle.json -j 1 > "$WORKDIR/fig3.dtm.j1.txt"
+"$BIN" fig3 -apps FFT -scale 0.02 -dtm -scenario examples/scenarios/biglittle.json -j 4 > "$WORKDIR/fig3.dtm.j4.txt"
+cmp "$WORKDIR/fig3.dtm.j1.txt" "$WORKDIR/fig3.dtm.j4.txt" || {
+  echo "fig3 -dtm -scenario biglittle differs between -j 1 and -j 4" >&2; exit 1; }
+
 DIGESTS=$("$BIN" scenario digest examples/scenarios/*.json | awk '{print $1}')
 [ "$(echo "$DIGESTS" | sort -u | wc -l)" -eq "$(echo "$DIGESTS" | wc -l)" ] || {
   echo "two example scenarios share a digest" >&2; exit 1; }
