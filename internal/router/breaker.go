@@ -14,7 +14,7 @@
 package router
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -168,18 +168,24 @@ func (rb *retryBudget) withdraw() bool {
 }
 
 // latTracker keeps a ring of one shard's recent request latencies and
-// answers quantile queries over it. Small and exact: at 256 samples the
-// per-request sort is microseconds, far below a single simulation.
+// answers quantile queries over it. Queries read a sorted snapshot of
+// the ring, re-taken once every len/16 observations (every observation
+// for rings under 16): the hedge delay tracks the recent tail without
+// a 256-sample sort on every request.
 type latTracker struct {
 	mu      sync.Mutex
 	samples []time.Duration
 	next    int
 	full    bool
 	prior   time.Duration
+
+	sorted  []time.Duration // sorted snapshot of samples
+	stale   int             // observations since sorted was taken
+	refresh int             // stale count that forces a new snapshot
 }
 
 func newLatTracker(size int, prior time.Duration) *latTracker {
-	return &latTracker{samples: make([]time.Duration, size), prior: prior}
+	return &latTracker{samples: make([]time.Duration, size), prior: prior, refresh: max(1, size/16)}
 }
 
 // observe folds one completed-request latency in.
@@ -191,6 +197,7 @@ func (t *latTracker) observe(d time.Duration) {
 		t.next = 0
 		t.full = true
 	}
+	t.stale++
 	t.mu.Unlock()
 }
 
@@ -198,18 +205,20 @@ func (t *latTracker) observe(d time.Duration) {
 // while the window is empty (a cold shard hedges on the prior).
 func (t *latTracker) quantile(q float64) time.Duration {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := t.next
 	if t.full {
 		n = len(t.samples)
 	}
 	if n == 0 {
-		t.mu.Unlock()
 		return t.prior
 	}
-	buf := make([]time.Duration, n)
-	copy(buf, t.samples[:n])
-	t.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	if len(t.sorted) == 0 || t.stale >= t.refresh {
+		t.sorted = append(t.sorted[:0], t.samples[:n]...)
+		slices.Sort(t.sorted)
+		t.stale = 0
+	}
+	n = len(t.sorted)
 	idx := int(q*float64(n)+0.5) - 1
 	if idx < 0 {
 		idx = 0
@@ -217,5 +226,5 @@ func (t *latTracker) quantile(q float64) time.Duration {
 	if idx >= n {
 		idx = n - 1
 	}
-	return buf[idx]
+	return t.sorted[idx]
 }

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -365,8 +366,9 @@ func TestHedgeOnStalledShard(t *testing.T) {
 	}
 }
 
-// TestMasksKilledShard: a shard crashes without warning; requests keyed
-// to it still succeed via transport-failure retries, and the health
+// TestMasksKilledShard: a shard crashes without warning; calls to it
+// fail as transport errors, requests keyed to it still succeed with the
+// same bytes via retries onto the next-ranked shard, and the health
 // checker ejects it.
 func TestMasksKilledShard(t *testing.T) {
 	rt := mustRouter(t, fastFleet(2))
@@ -377,18 +379,26 @@ func TestMasksKilledShard(t *testing.T) {
 	victim := primarySlot(t, body, 2)
 
 	// Warm the key on its home shard, then crash that shard abruptly.
-	if status, _ := post(t, ts.URL, "/v1/run", body); status != http.StatusOK {
+	status, want := post(t, ts.URL, "/v1/run", body)
+	if status != http.StatusOK {
 		t.Fatalf("warmup failed with %d", status)
 	}
 	rt.fleetMu.Lock()
 	proc := rt.slots[victim].proc
 	rt.fleetMu.Unlock()
 	proc.Kill()
+	if _, err := roundTrip(context.Background(), proc.(*inprocShard), "/v1/run", body); !errors.Is(err, errShardStopped) {
+		t.Fatalf("call to a killed shard: err %v, want %v", err, errShardStopped)
+	}
 
 	// Every request keyed to the dead shard is masked by a retry.
 	for i := 0; i < 5; i++ {
-		if status, b := post(t, ts.URL, "/v1/run", body); status != http.StatusOK {
+		status, b := post(t, ts.URL, "/v1/run", body)
+		if status != http.StatusOK {
 			t.Fatalf("request %d after kill: status %d body %s", i, status, b)
+		}
+		if !bytes.Equal(b, want) {
+			t.Fatalf("request %d after kill: body differs from the warmup answer", i)
 		}
 	}
 	if n := rt.reg.Counter("router_retries_total").Value(); n < 1 {

@@ -173,13 +173,18 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Serve accepts connections on ln until Shutdown; it returns nil after a
-// clean shutdown.
+// clean shutdown, and at once (closing ln) when Shutdown or Close came
+// first.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return ln.Close()
+	}
 	s.httpSrv = srv
 	s.mu.Unlock()
 	err := srv.Serve(ln)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1+ verification gate (see ROADMAP.md): vet, build, the full test
-# suite under the race detector, then short fuzz smokes over the two
+# suite under the race detector, then short fuzz smokes over the
 # input-parsing/lookup surfaces (the committed corpora under testdata/fuzz
 # run as ordinary tests; this additionally explores for 10s each). Fails
 # fast on the first broken step.
@@ -28,5 +28,8 @@ go test ./internal/surrogate -run='^$' -fuzz=FuzzSurrogateFit -fuzztime=10s
 
 echo "== fuzz smoke: scenario loader (10s)"
 go test ./internal/scenario -run='^$' -fuzz=FuzzScenarioLoad -fuzztime=10s
+
+echo "== fuzz smoke: router body decoder (10s)"
+go test ./internal/router -run='^$' -fuzz=FuzzNormalizeKey -fuzztime=10s
 
 echo "check: all gates passed"

@@ -2,10 +2,11 @@
 # Router-smoke gate: boot a plain `cmppower serve` as the byte-identity
 # reference and a 3-shard `cmppower router` fleet with chaos killing and
 # respawning shards underneath it, then require (1) router responses
-# byte-identical to the reference while shards die mid-run, (2) strict
-# loadgen passes on cached and uncached paths through the fleet, (3) the
-# routing / chaos counters on the router's /metrics prove the faults
-# actually fired, and (4) a clean SIGTERM drain of the whole fleet.
+# byte-identical to the reference while shards die mid-run, (2) every
+# shard's own /fleet URL answering directly with the routed bytes, (3)
+# strict loadgen passes on cached and uncached paths through the fleet,
+# (4) the routing / chaos counters on the router's /metrics prove the
+# faults actually fired, and (5) a clean SIGTERM drain of the whole fleet.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +57,31 @@ for i in $(seq 1 30); do
     exit 1
   }
   sleep 0.2
+done
+
+echo "== each shard's own listener answers with the routed bytes =="
+# The router reaches its spawned shards in memory; their loopback
+# listeners stay up for operators and direct clients. A chaos kill can
+# land between reading /fleet and the request, so each slot gets a few
+# tries at its current URL (a respawned shard listens on a new port).
+for slot in 0 1 2; do
+  ok=
+  for _ in $(seq 1 25); do
+    url=$(curl -fsS "$BASE/fleet" |
+      grep -o "\"slot\":$slot,\"url\":\"[^\"]*\",\"state\":\"active\"" |
+      sed 's/.*"url":"\([^"]*\)".*/\1/') || true
+    if [ -n "$url" ] && curl -fsS -X POST -H 'Content-Type: application/json' -d "$BODY" \
+      "$url/v1/run" > "$WORKDIR/direct.json" 2>/dev/null; then
+      cmp -s "$WORKDIR/got.json" "$WORKDIR/direct.json" || {
+        echo "shard $slot ($url) answers directly with bytes that differ from the routed response" >&2
+        exit 1
+      }
+      ok=1
+      break
+    fi
+    sleep 0.2
+  done
+  [ -n "$ok" ] || { echo "shard $slot never answered on its /fleet URL" >&2; exit 1; }
 done
 
 echo "== cached closed-loop through the fleet (strict) =="
