@@ -417,6 +417,51 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instr), "sim-instructions/op")
 }
 
+// serveMixSink keeps BenchmarkServeMixRun's simulations observable.
+var serveMixSink int64
+
+// BenchmarkServeMixRun runs the simulations behind the serve-exact
+// benchmark mix directly, one per iteration: 8 apps × N ∈ {1,2,4,8,16} ×
+// {3200, 2400, 1760} MHz at the server's default scale 0.1, each with a
+// fresh seed, as every uncached exact /v1/run simulates. B/op is what one
+// such simulation allocates.
+func BenchmarkServeMixRun(b *testing.B) {
+	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type job struct {
+		prog *cmppower.Program
+		cfg  cmppower.SimConfig
+	}
+	var jobs []job
+	for _, name := range []string{"FFT", "LU", "Ocean", "Radix", "Barnes", "FMM", "Water-Sp", "Cholesky"} {
+		app, err := cmppower.AppByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog := app.Program(0.1)
+		for _, n := range []int{1, 2, 4, 8, 16} {
+			for _, mhz := range []float64{3200, 2400, 1760} {
+				cfg := cmppower.DefaultSimConfig(n, tab.PointFor(mhz*1e6))
+				cfg.Core = app.CoreConfig()
+				jobs = append(jobs, job{prog: prog, cfg: cfg})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%len(jobs)]
+		j.cfg.Seed = uint64(i) + 1
+		res, err := cmppower.Simulate(j.prog, j.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		serveMixSink = res.Instructions
+	}
+}
+
 // BenchmarkAnalyticScenarioII measures one budget-constrained solve with
 // its thermal fixed point — the inner kernel of the Fig. 2 sweep.
 func BenchmarkAnalyticScenarioII(b *testing.B) {

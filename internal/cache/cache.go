@@ -75,8 +75,8 @@ func (g Geometry) Sets() int { return g.SizeBytes / g.LineBytes / g.Ways }
 // per line on the timestamp or a store per hit on refreshing it.
 
 // Array is one set-associative cache array with MESI line states and true
-// LRU replacement. Arrays built by NewBank share one set-interleaved
-// backing store (see NewBank); standalone arrays own their lines.
+// LRU replacement. The arrays of a bank share one set-interleaved backing
+// store (see newBank); standalone arrays own their lines.
 type Array struct {
 	geom      Geometry
 	lineShift uint
@@ -93,12 +93,12 @@ func NewArray(g Geometry) (*Array, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	a := newArrayShape(g)
-	a.lines = make([]uint64, g.Sets()*g.Ways)
-	return a, nil
+	return newArray(g, make([]uint64, g.Sets()*g.Ways), g.Ways), nil
 }
 
-func newArrayShape(g Geometry) *Array {
+// newArray lays an array of geometry g over lines, whose rows advance
+// stride words per set: g.Ways for a standalone array, wider in a bank.
+func newArray(g Geometry, lines []uint64, stride int) *Array {
 	sets := uint64(g.Sets())
 	return &Array{
 		geom:      g,
@@ -106,35 +106,26 @@ func newArrayShape(g Geometry) *Array {
 		setMask:   sets - 1,
 		sets:      sets,
 		ways:      g.Ways,
-		stride:    g.Ways,
+		stride:    stride,
 		setsPow2:  sets&(sets-1) == 0,
+		lines:     lines,
 	}
 }
 
-// NewBank builds n identical arrays whose lines share one backing buffer,
-// interleaved by set: set s holds array 0's ways, then array 1's, and so
-// on, contiguously. A coherence snoop probes every array at the same set,
-// so interleaving turns the snoop loop's n scattered reads into one
-// sequential walk — the difference between n cache misses and a
-// prefetchable stream. Each returned Array still behaves exactly like a
-// standalone NewArray (same LRU, same states); only the memory layout is
-// shared.
-func NewBank(g Geometry, n int) ([]*Array, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("cache: bank of %d arrays", n)
-	}
-	backing := make([]uint64, g.Sets()*g.Ways*n)
+// newBank lays n identical arrays over one backing buffer of
+// g.Sets()*g.Ways*n words, interleaved by set: set s holds array 0's
+// ways, then array 1's, and so on, contiguously. A coherence snoop probes
+// every array at the same set, so interleaving turns the snoop loop's n
+// scattered reads into one sequential walk — the difference between n
+// cache misses and a prefetchable stream. Each returned Array still
+// behaves exactly like a standalone NewArray (same LRU, same states);
+// only the memory layout is shared.
+func newBank(g Geometry, n int, backing []uint64) []*Array {
 	arrays := make([]*Array, n)
 	for i := range arrays {
-		a := newArrayShape(g)
-		a.stride = g.Ways * n
-		a.lines = backing[i*g.Ways:]
-		arrays[i] = a
+		arrays[i] = newArray(g, backing[i*g.Ways:], g.Ways*n)
 	}
-	return arrays, nil
+	return arrays
 }
 
 // Geometry returns the array geometry.

@@ -102,6 +102,9 @@ type Hierarchy struct {
 	bus  *bus.Bus
 	dram *mem.DRAM
 	st   Stats
+	// l1buf and l2buf are the line buffers under l1d and l2, taken from
+	// the free lists (takeLines) and handed back by Release.
+	l1buf, l2buf *[]uint64
 	// tagged tracks prefetched-but-not-yet-used lines per core, so a
 	// demand hit on a prefetched line keeps the stream ahead (tagged
 	// prefetching). Only allocated when prefetching is enabled.
@@ -123,13 +126,11 @@ func New(cfg Config, dram *mem.DRAM) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{cfg: cfg, bus: b, dram: dram}
 	// The L1s live in one set-interleaved bank so coherence snoops walk
-	// contiguous memory (see NewBank).
-	if h.l1d, err = NewBank(cfg.L1, cfg.NCores); err != nil {
-		return nil, err
-	}
-	if h.l2, err = NewArray(cfg.L2); err != nil {
-		return nil, err
-	}
+	// contiguous memory (see newBank).
+	h.l1buf = takeLines(cfg.L1.Sets() * cfg.L1.Ways * cfg.NCores)
+	h.l1d = newBank(cfg.L1, cfg.NCores, *h.l1buf)
+	h.l2buf = takeLines(cfg.L2.Sets() * cfg.L2.Ways)
+	h.l2 = newArray(cfg.L2, *h.l2buf, cfg.L2.Ways)
 	h.st.L1DAccess = make([]int64, cfg.NCores)
 	h.st.L1DMiss = make([]int64, cfg.NCores)
 	if cfg.PrefetchNextLine {
@@ -139,6 +140,22 @@ func New(cfg Config, dram *mem.DRAM) (*Hierarchy, error) {
 		}
 	}
 	return h, nil
+}
+
+// Release hands the hierarchy's line buffers back to the free lists for
+// the next hierarchy of the same shape. Call it only once everything that
+// reads the lines (LineDigest, the caller's activity accounting) is done:
+// the hierarchy is unusable afterwards. Its arrays are dropped, so a
+// later access panics instead of reading a buffer another run now owns.
+// The counters stay readable, and releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	if h.l1buf == nil {
+		return
+	}
+	putLines(h.l1buf)
+	putLines(h.l2buf)
+	h.l1buf, h.l2buf = nil, nil
+	h.l1d, h.l2 = nil, nil
 }
 
 // Config returns the hierarchy configuration.
@@ -202,7 +219,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, now float64) float
 		}
 	}
 
-	// The L1s share one set-interleaved bank (NewBank), so the whole
+	// The L1s share one set-interleaved bank (newBank), so the whole
 	// coherence set — every core's ways for this address — is one
 	// contiguous row. The tag probe and the snoop below walk it directly;
 	// each step mirrors an Array method (Lookup, Peek, SetState,
@@ -376,7 +393,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, now float64) float
 }
 
 // l1row returns the backing-row slice holding every core's ways for la's
-// set (the L1s are built by NewBank, so array 0's lines are the full
+// set (the L1s are built by newBank, so array 0's lines are the full
 // interleaved backing).
 func (h *Hierarchy) l1row(la uint64) []uint64 {
 	a := h.l1d[0]

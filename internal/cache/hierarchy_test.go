@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"cmppower/internal/mem"
@@ -275,5 +276,56 @@ func TestSuperlinearCachingEffect(t *testing.T) {
 	m4 := missRate(4, wsBytes)
 	if m4 >= m1/2 {
 		t.Errorf("partitioned miss rate %g not far below single-core %g", m4, m1)
+	}
+}
+
+// TestHierarchyAfterReleaseStartsEmpty dirties a hierarchy, releases it,
+// and builds another of the same shape, which usually inherits the
+// released line buffers: it must start exactly as a fresh one does — no
+// valid line, zero counters, the fresh line digest.
+func TestHierarchyAfterReleaseStartsEmpty(t *testing.T) {
+	const n = 4
+	want := newH(t, n)
+	wantDigest, wantStats := want.LineDigest(), want.Stats()
+	reused := 0
+	for round := 0; round < 20; round++ {
+		h := newH(t, n)
+		for i := 0; i < 5000; i++ {
+			h.Access(i%n, uint64(i*i)*64, i%3 == 0, float64(i))
+		}
+		if h.l2.CountValid() == 0 {
+			t.Fatal("traffic left no line to recycle")
+		}
+		l2 := &h.l2.lines[0]
+		h.Release()
+		h.Release() // a second release must not pool the buffers twice
+		func() {
+			defer func() { _ = recover() }()
+			h.Access(0, 0, false, 0)
+			t.Fatal("access to a released hierarchy did not panic")
+		}()
+
+		h2 := newH(t, n)
+		if &h2.l2.lines[0] == l2 {
+			reused++
+		}
+		for c, a := range h2.l1d {
+			if v := a.CountValid(); v != 0 {
+				t.Fatalf("round %d: core %d L1 starts with %d valid lines", round, c, v)
+			}
+		}
+		if v := h2.l2.CountValid(); v != 0 {
+			t.Fatalf("round %d: L2 starts with %d valid lines", round, v)
+		}
+		if d := h2.LineDigest(); d != wantDigest {
+			t.Fatalf("round %d: line digest %x, fresh hierarchy %x", round, d, wantDigest)
+		}
+		if st := h2.Stats(); !reflect.DeepEqual(st, wantStats) {
+			t.Fatalf("round %d: stats %+v, fresh hierarchy %+v", round, st, wantStats)
+		}
+		h2.Release()
+	}
+	if reused == 0 {
+		t.Fatal("no released line buffer was ever reused")
 	}
 }

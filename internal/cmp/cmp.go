@@ -85,7 +85,7 @@ type Config struct {
 	Ctx context.Context
 	// Unbatched selects the reference event-at-a-time core loop instead
 	// of the batched fast path. The two produce bit-identical results
-	// (engine equivalence tests; doctor check 6); the reference path
+	// (engine equivalence tests; doctor check 10); the reference path
 	// exists to prove that and to baseline benchmarks.
 	Unbatched bool
 	// CacheFault forwards a transient-error hook into the cache hierarchy
@@ -407,6 +407,10 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 	if err != nil {
 		return nil, err
 	}
+	// Deferred, so the line buffers go back to the free lists on every
+	// exit path, and only after the result assembly below (LineDigest,
+	// Stats, collectActivity, publishMetrics) has read the hierarchy.
+	defer hier.Release()
 
 	cores := make([]*cpu.Core, cfg.NCores)
 	states := make([]coreState, cfg.NCores)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"cmppower/internal/cache"
 	"cmppower/internal/cpu"
@@ -31,20 +32,60 @@ type windowSource interface {
 }
 
 // batchCap is the per-core event buffer length. Big enough that refill
-// overhead (and its cancellation poll) amortizes to noise, small enough
-// that per-run buffer allocation stays trivial.
+// overhead (and its cancellation poll) amortizes to noise.
 const batchCap = 256
+
+// eventBufs recycles runner event buffers across runs, so a run does not
+// allocate (and the collector reclaim) 8 KiB per core. Every buffer is
+// batchCap long, so one pool serves every core count. A recycled buffer
+// needs no clearing: the engine reads only the events its source has just
+// written into it.
+var eventBufs = sync.Pool{New: func() any { return new([batchCap]workload.Event) }}
 
 // runner is one core's event supply: a prefetched slice of upcoming
 // events. Prefetching is safe because event generation is a pure
 // function of (program, tid, n, seed) — engine scheduling never feeds
 // back into a stream.
 type runner struct {
-	src    eventSource
-	batch  batchSource  // nil when src cannot batch
-	win    windowSource // nil when src cannot hand out windows
+	src   eventSource
+	batch batchSource  // nil when src cannot batch
+	win   windowSource // nil when src cannot hand out windows
+	// own is the pooled buffer buf starts on; nil for a window source,
+	// whose buf always points into the source's own storage instead.
+	own    *[batchCap]workload.Event
 	buf    []workload.Event
 	pos, n int
+}
+
+// newRunners sets up one runner per core. A runner over a window source
+// (checkpoint recording or replay) reads that source's storage and takes
+// no buffer; every other runner takes one from eventBufs.
+func (e *engine) newRunners() []runner {
+	runners := make([]runner, len(e.sources))
+	for i, src := range e.sources {
+		r := &runners[i]
+		r.src = src
+		r.batch, _ = src.(batchSource)
+		r.win, _ = src.(windowSource)
+		if r.win == nil {
+			r.own = eventBufs.Get().(*[batchCap]workload.Event)
+			r.buf = r.own[:]
+		}
+	}
+	return runners
+}
+
+// releaseRunners returns the buffers newRunners took to eventBufs. Only
+// own goes back, never buf: a window belongs to its checkpoint's event
+// log, and pooling it would let a later run overwrite a recorded log.
+func releaseRunners(runners []runner) {
+	for i := range runners {
+		r := &runners[i]
+		if r.own != nil {
+			eventBufs.Put(r.own)
+			r.own, r.buf = nil, nil
+		}
+	}
 }
 
 // engine carries one run's mutable state through any of the three core
@@ -54,20 +95,20 @@ type runner struct {
 // Config.Unbatched). They share every piece of event semantics via
 // handleSync, and the two sampling loops via takeSample, so they can only
 // diverge in scheduling order, which the equivalence tests and doctor
-// check 6 pin to bit-identical.
+// check 10 (exit code 6) pin to bit-identical.
 type engine struct {
-	cfg     Config
-	sources []eventSource
-	cores   []*cpu.Core
-	states  []coreState
-	sleep   []float64
-	hier    *cache.Hierarchy
-	barriers []*barrier
-	locks    []*lock
-	quorum   int
+	cfg       Config
+	sources   []eventSource
+	cores     []*cpu.Core
+	states    []coreState
+	sleep     []float64
+	hier      *cache.Hierarchy
+	barriers  []*barrier
+	locks     []*lock
+	quorum    int
 	maxEvents int64
-	ring     *traceRing
-	cancel   <-chan struct{}
+	ring      *traceRing
+	cancel    <-chan struct{}
 
 	events    int64
 	doneCount int
@@ -272,14 +313,8 @@ func (e *engine) refill(r *runner) error {
 // cancellation — both already error paths.
 func (e *engine) runFused() error {
 	nCores := e.cfg.NCores
-	runners := make([]runner, nCores)
-	for i := range runners {
-		r := &runners[i]
-		r.src = e.sources[i]
-		r.batch, _ = e.sources[i].(batchSource)
-		r.win, _ = e.sources[i].(windowSource)
-		r.buf = make([]workload.Event, batchCap)
-	}
+	runners := e.newRunners()
+	defer releaseRunners(runners)
 	// keys[i] is core i's clock at its pending shared event — the seed's
 	// scheduling key for that event — stored as math.Float64bits, which
 	// preserves ordering for non-negative floats and lets the arg-min
@@ -438,14 +473,8 @@ func (e *engine) runBatched() error {
 	for i, c := range e.cores {
 		clocks[i] = c.Clock()
 	}
-	runners := make([]runner, nCores)
-	for i := range runners {
-		r := &runners[i]
-		r.src = e.sources[i]
-		r.batch, _ = e.sources[i].(batchSource)
-		r.win, _ = e.sources[i].(windowSource)
-		r.buf = make([]workload.Event, batchCap)
-	}
+	runners := e.newRunners()
+	defer releaseRunners(runners)
 	tracing := e.ring != nil
 	sampleEvery := e.cfg.SampleCycles
 	// track gates the per-event postlude; with tracing and sampling off,

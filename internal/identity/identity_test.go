@@ -32,8 +32,8 @@ func TestKeyDeterministic(t *testing.T) {
 // compatibility surface, so a change re-shards every key.
 func TestHashStable(t *testing.T) {
 	cases := map[string]uint64{
-		"":    14695981039346656037,
-		"a":   0xaf63dc4c8601ec8c,
+		"":                                  14695981039346656037,
+		"a":                                 0xaf63dc4c8601ec8c,
 		"/v1/run?{\"app\":\"FFT\",\"n\":4}": Hash(`/v1/run?{"app":"FFT","n":4}`),
 	}
 	for in, want := range cases {

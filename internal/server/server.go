@@ -128,10 +128,38 @@ type Server struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
+	classes sync.Map // SLO class → *classMetrics, filled on first use
+
 	// testLeaderGate, when non-nil, blocks every flight leader just
 	// before it computes; tests use it to sequence coalescing and
 	// backpressure deterministically.
 	testLeaderGate chan struct{}
+}
+
+// classMetrics are the metric handles one request of an SLO class
+// updates, resolved once per class rather than looked up by name on
+// every request. A class's first request registers them, so /metrics
+// lists only the classes seen.
+type classMetrics struct {
+	requests, classRequests, class429 *obs.Counter
+	inflight                          *obs.Gauge
+	seconds, classSeconds             *obs.Histogram
+}
+
+// metricsFor returns class's request-path metric handles.
+func (s *Server) metricsFor(class string) *classMetrics {
+	if m, ok := s.classes.Load(class); ok {
+		return m.(*classMetrics)
+	}
+	m, _ := s.classes.LoadOrStore(class, &classMetrics{
+		requests:      s.reg.VolatileCounter("server_requests_total"),
+		classRequests: s.reg.VolatileCounter(obs.WithClass("server_class_requests_total", class)),
+		class429:      s.reg.VolatileCounter(obs.WithClass("server_class_429_total", class)),
+		inflight:      s.reg.VolatileGauge("server_inflight"),
+		seconds:       s.reg.VolatileHistogram("server_request_seconds", requestSecondsBounds),
+		classSeconds:  s.reg.VolatileHistogram(obs.WithClass("server_class_request_seconds", class), requestSecondsBounds),
+	})
+	return m.(*classMetrics)
 }
 
 // New builds a Server; no sockets are opened until Serve.
@@ -245,24 +273,21 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // catch-all class) — and the per-request deadline.
 func (s *Server) instrument(h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
-		class := traffic.NormalizeClass(r.Header.Get(traffic.HeaderClass))
-		s.reg.VolatileCounter("server_requests_total").Add(1)
-		s.reg.VolatileCounter(obs.WithClass("server_class_requests_total", class)).Add(1)
-		// Touch the class's 429 counter so the family is visible on
-		// /metrics at zero, before any rejection happens.
-		s.reg.VolatileCounter(obs.WithClass("server_class_429_total", class)).Add(0)
-		s.reg.VolatileGauge("server_inflight").Set(float64(s.inflight.Add(1)))
+		// Resolving the handles registers the class's 429 counter, so the
+		// family is visible on /metrics at zero before any rejection happens.
+		m := s.metricsFor(traffic.NormalizeClass(r.Header.Get(traffic.HeaderClass)))
+		m.requests.Add(1)
+		m.classRequests.Add(1)
+		m.inflight.Set(float64(s.inflight.Add(1)))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		defer func() {
-			s.reg.VolatileGauge("server_inflight").Set(float64(s.inflight.Add(-1)))
+			m.inflight.Set(float64(s.inflight.Add(-1)))
 			elapsed := time.Since(start).Seconds()
-			s.reg.VolatileHistogram("server_request_seconds", requestSecondsBounds).
-				Observe(elapsed)
-			s.reg.VolatileHistogram(obs.WithClass("server_class_request_seconds", class), requestSecondsBounds).
-				Observe(elapsed)
+			m.seconds.Observe(elapsed)
+			m.classSeconds.Observe(elapsed)
 			if sw.status == http.StatusTooManyRequests {
-				s.reg.VolatileCounter(obs.WithClass("server_class_429_total", class)).Add(1)
+				m.class429.Add(1)
 			}
 		}()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)

@@ -18,6 +18,7 @@ package splash
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cmppower/internal/cpu"
@@ -86,19 +87,25 @@ func sc(n int, scale float64) int {
 	return v
 }
 
-// Catalog returns all twelve application models, sorted by name.
-func Catalog() []App {
+// catalog is the twelve application models, sorted by name, built once.
+// Lookups read it in place; Catalog hands out copies, so no caller can
+// change what the next one sees.
+var catalog = func() []App {
 	apps := []App{
 		barnes(), cholesky(), fft(), fmm(), lu(), ocean(),
 		radiosity(), radix(), raytrace(), volrend(), waterNsq(), waterSp(),
 	}
 	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
 	return apps
-}
+}()
+
+// Catalog returns all twelve application models, sorted by name. The
+// slice is the caller's own.
+func Catalog() []App { return slices.Clone(catalog) }
 
 // ByName finds an application model by (case-sensitive) name.
 func ByName(name string) (App, error) {
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		if a.Name == name {
 			return a, nil
 		}
@@ -108,9 +115,9 @@ func ByName(name string) (App, error) {
 
 // Names returns the catalog's names in order.
 func Names() []string {
-	var out []string
-	for _, a := range Catalog() {
-		out = append(out, a.Name)
+	out := make([]string, len(catalog))
+	for i, a := range catalog {
+		out[i] = a.Name
 	}
 	return out
 }

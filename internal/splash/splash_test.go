@@ -49,6 +49,28 @@ func TestCatalogSorted(t *testing.T) {
 	}
 }
 
+// TestCatalogCopiesAreIndependent: the catalog is built once and shared,
+// so every Catalog call must hand out its own copy — a caller that
+// rewrites or reorders its slice changes nothing another caller sees.
+func TestCatalogCopiesAreIndependent(t *testing.T) {
+	names := Names()
+	apps := Catalog()
+	apps[0].Name, apps[0].IPCNonMem = "Mutated", -1
+	apps[1], apps[2] = apps[2], apps[1]
+	for i, a := range Catalog() {
+		if a.Name != names[i] || a.IPCNonMem <= 0 {
+			t.Fatalf("mutating one Catalog slice reached the next call: entry %d is %s (IPC %g), want %s",
+				i, a.Name, a.IPCNonMem, names[i])
+		}
+	}
+	if _, err := ByName("Mutated"); err == nil {
+		t.Fatal("ByName found a name only a caller's copy holds")
+	}
+	if a, err := ByName(names[0]); err != nil || a.IPCNonMem <= 0 {
+		t.Fatalf("ByName(%q) after the mutation: %+v, %v", names[0], a, err)
+	}
+}
+
 func TestByName(t *testing.T) {
 	a, err := ByName("Radix")
 	if err != nil {

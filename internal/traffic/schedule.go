@@ -58,7 +58,7 @@ type runBody struct {
 }
 
 type sweepBody struct {
-	Scenario string   `json:"scenario"`
+	Scenario string             `json:"scenario"`
 	Apps     []string           `json:"apps,omitempty"`
 	Scale    float64            `json:"scale,omitempty"`
 	Seed     uint64             `json:"seed,omitempty"`

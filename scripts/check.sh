@@ -1,12 +1,20 @@
 #!/bin/sh
-# Tier-1+ verification gate (see ROADMAP.md): vet, build, the full test
-# suite under the race detector, then short fuzz smokes over the
+# Tier-1+ verification gate (see ROADMAP.md): gofmt, vet, build, the full
+# test suite under the race detector, then short fuzz smokes over the
 # input-parsing/lookup surfaces (the committed corpora under testdata/fuzz
 # run as ordinary tests; this additionally explores for 10s each). Fails
 # fast on the first broken step.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
