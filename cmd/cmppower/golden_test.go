@@ -176,3 +176,24 @@ func TestGoldenLoadgenPlan(t *testing.T) {
 		t.Error("-seed override produced the same plan")
 	}
 }
+
+// TestGoldenSideExperiments pins the side experiments that assemble their
+// own runs: workload classification, the L1 capacity sweep, the
+// multiprogrammed mix, the transient trace, and the thrifty-barrier and
+// placement ablations.
+func TestGoldenSideExperiments(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fn   func([]string) error
+		args []string
+	}{
+		{"classify_n4.txt", runClassify, []string{"-scale", "0.05", "-n", "4"}},
+		{"cachesweep_fft.txt", runCacheSweep, []string{"-app", "FFT", "-scale", "0.05"}},
+		{"mix_fft_radix_lu.txt", runMix, []string{"-apps", "FFT,Radix,LU", "-scale", "0.05"}},
+		{"trace_fft_n2.txt", runTrace, []string{"-app", "FFT", "-n", "2", "-scale", "0.05"}},
+		{"ablate_thrifty.txt", runAblate, []string{"-what", "thrifty", "-scale", "0.05"}},
+		{"ablate_placement.txt", runAblate, []string{"-what", "placement", "-scale", "0.05"}},
+	} {
+		checkGolden(t, c.name, captureStdout(t, c.fn, c.args))
+	}
+}
