@@ -6,6 +6,7 @@ import (
 	"cmppower/internal/cpu"
 	"cmppower/internal/dvfs"
 	"cmppower/internal/floorplan"
+	"cmppower/internal/phys"
 	"cmppower/internal/power"
 	"cmppower/internal/scenario"
 	"cmppower/internal/thermal"
@@ -128,8 +129,23 @@ func (r *Rig) perCoreConfigs(base cpu.Config, n int) []cpu.Config {
 	}
 	hetero := false
 	per := make([]cpu.Config, n)
-	for c := 0; c < n; c++ {
-		cc := base
+	for c := range per {
+		per[c] = r.chipCore(base, c)
+		if per[c] != base {
+			hetero = true
+		}
+	}
+	if !hetero {
+		return nil
+	}
+	return per
+}
+
+// chipCore applies the chip's per-core deltas to a configuration running
+// on physical core c: its big/little class overrides and its DVFS
+// island's speed ratio.
+func (r *Rig) chipCore(cc cpu.Config, c int) cpu.Config {
+	if r.Scenario != nil {
 		if cl := r.Scenario.ClassOf(c); cl != nil {
 			if cl.IssueWidth > 0 {
 				cc.IssueWidth = cl.IssueWidth
@@ -143,36 +159,65 @@ func (r *Rig) perCoreConfigs(base cpu.Config, n int) []cpu.Config {
 				cc.IPCNonMem = float64(cc.IssueWidth)
 			}
 		}
-		if r.Domains != nil {
-			if ratio := r.Domains.RatioOf(c); ratio != 1 {
-				cc.SpeedRatio = ratio
-			}
-		}
-		if cc != base {
-			hetero = true
-		}
-		per[c] = cc
 	}
-	if !hetero {
-		return nil
+	if r.Domains != nil {
+		if ratio := r.Domains.RatioOf(c); ratio != 1 {
+			cc.SpeedRatio = ratio
+		}
 	}
-	return per
+	return cc
 }
 
-// evaluateRun dispatches the power/thermal evaluation: chips whose DVFS
-// domains actually diverge evaluate per-core operating points (slow
-// islands at their own supply), everything else takes the chip-wide
-// path expression-for-expression unchanged.
-func (r *Rig) evaluateRun(act *power.Activity, seconds float64, cycles int64, p dvfs.OperatingPoint, n int) (*power.Result, error) {
-	if r.Domains != nil && !r.Domains.Uniform() {
-		points := r.Domains.CorePoints(r.Table, p)
-		active := make([]bool, r.TotalCores)
-		for i := 0; i < n && i < r.TotalCores; i++ {
-			active[i] = true
-		}
-		return r.Meter.EvaluateHetero(r.FP, r.TM, act, seconds, cycles, p, points, active)
+// corePoints returns every physical core's operating point while the
+// chip runs at lead: its DVFS island's point, or lead itself on a chip
+// without islands.
+func (r *Rig) corePoints(lead dvfs.OperatingPoint) []dvfs.OperatingPoint {
+	if r.Domains != nil {
+		return r.Domains.CorePoints(r.Table, lead)
 	}
-	return r.Meter.Evaluate(r.FP, r.TM, act, seconds, cycles, p, n)
+	pts := make([]dvfs.OperatingPoint, r.TotalCores)
+	for i := range pts {
+		pts[i] = lead
+	}
+	return pts
+}
+
+// activeCores marks the first n of the chip's cores powered, the rest
+// shut down.
+func (r *Rig) activeCores(n int) []bool {
+	active := make([]bool, r.TotalCores)
+	for i := 0; i < n && i < r.TotalCores; i++ {
+		active[i] = true
+	}
+	return active
+}
+
+// evaluateRun solves the power/thermal evaluation of an n-core run at
+// lead point p, each core block charged at its own core's point.
+func (r *Rig) evaluateRun(act *power.Activity, seconds float64, cycles int64, p dvfs.OperatingPoint, n int) (*power.Result, error) {
+	return r.Meter.EvaluateHetero(r.FP, r.TM, act, seconds, cycles, p, r.corePoints(p), r.activeCores(n))
+}
+
+// intervalPower prices one interval of a transient replay: dynamic power
+// with each core block at its own core's point and the shared blocks at
+// lead, and static power from the block temperatures at the interval's
+// start. The explicit leakage coupling is stable because intervals are
+// short against the die's thermal time constants.
+func (r *Rig) intervalPower(act *power.Activity, dt float64, cycles int64, lead dvfs.OperatingPoint, points []dvfs.OperatingPoint, active []bool, temps []float64) (dyn, total []float64, err error) {
+	dyn, err = r.Meter.DynamicBlockPowerHetero(r.FP, act, dt, cycles, lead, points, active)
+	if err != nil {
+		return nil, nil, err
+	}
+	total = make([]float64, len(dyn))
+	for i, b := range r.FP.Blocks {
+		v := lead.Volt
+		if b.Core >= 0 && b.Core < len(points) {
+			v = points[b.Core].Volt
+		}
+		frac := r.Meter.StaticFraction(v, phys.Clamp(temps[i], phys.AmbientTempC, 120))
+		total[i] = dyn[i] * (1 + frac)
+	}
+	return dyn, total, nil
 }
 
 // leadDomain picks the reference-clock island for multi-domain DTM: the

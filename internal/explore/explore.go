@@ -193,38 +193,32 @@ func optionRig(opt Option, sc *scenario.Scenario, scale float64) (*experiment.Ri
 }
 
 // exploreOption evaluates every application on one organization: one
-// sweep work item, with its own freshly calibrated rig.
+// sweep work item, with its own freshly calibrated rig. Each run goes
+// through the rig's run pipeline with the organization's core width, ILP
+// boost and L2 capacity set on top, so the scenario's memory switches
+// apply to every option.
 func exploreOption(ctx context.Context, apps []splash.App, opt Option, sc *scenario.Scenario, scale float64, reg *obs.Registry) ([]Outcome, error) {
 	rig, err := optionRig(opt, sc, scale)
 	if err != nil {
 		return nil, err
 	}
+	rig.Obs = reg
+	point := rig.Table.Nominal()
 	var out []Outcome
 	for _, app := range apps {
 		n := maxThreads(app, opt.Cores)
-		point := rig.Table.Nominal()
-		cfg := cmp.DefaultConfig(n, point)
-		cfg.TotalCores = opt.Cores
-		cfg.Core = app.CoreConfig()
-		cfg.Core.IssueWidth = opt.IssueWidth
-		cfg.Core.IPCNonMem = cfg.Core.IPCNonMem * opt.IPCBoost
-		if lim := float64(opt.IssueWidth); cfg.Core.IPCNonMem > lim {
-			cfg.Core.IPCNonMem = lim
-		}
-		cc := cache.DefaultConfig(n, point.Freq)
-		cc.L2 = cache.Geometry{SizeBytes: opt.L2Bytes, LineBytes: 128, Ways: 8}
-		cfg.CacheOverride = &cc
-		cfg.Seed = rig.Seed
-		cfg.Ctx = ctx
-		cfg.Metrics = reg
-		res, err := cmp.Run(app.Program(scale), cfg)
+		res, pw, err := rig.Simulate(ctx, app, n, point, func(cfg *cmp.Config) {
+			cfg.Core.IssueWidth = opt.IssueWidth
+			cfg.Core.IPCNonMem *= opt.IPCBoost
+			if lim := float64(opt.IssueWidth); cfg.Core.IPCNonMem > lim {
+				cfg.Core.IPCNonMem = lim
+			}
+			cc := cache.DefaultConfig(n, point.Freq)
+			cc.L2 = cache.Geometry{SizeBytes: opt.L2Bytes, LineBytes: 128, Ways: 8}
+			cfg.CacheOverride = &cc
+		})
 		if err != nil {
 			return nil, fmt.Errorf("explore: %s on %s: %w", app.Name, opt.Name, err)
-		}
-		pw, err := rig.Meter.Evaluate(rig.FP, rig.TM, res.Activity, res.Seconds,
-			int64(res.Cycles)+1, point, n)
-		if err != nil {
-			return nil, err
 		}
 		o := Outcome{
 			Option: opt, App: app.Name, N: n,

@@ -46,9 +46,9 @@ func sampleActivity(nCores, active int) *Activity {
 	return act
 }
 
-// Uniform points must reproduce the chip-wide path bit for bit: the
-// hetero loop is a duplicate of EvaluateSet's, and this is the guard
-// that keeps the two from drifting apart.
+// Uniform points must reproduce the chip-wide path bit for bit: every
+// baseline output goes through the per-core loop with all cores at the
+// lead point, so this guards the loop's expression order.
 func TestHeteroMatchesChipWideOnUniformPoints(t *testing.T) {
 	fp, tm, m, tab := heteroRig(t)
 	act := sampleActivity(4, 4)

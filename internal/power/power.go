@@ -246,11 +246,32 @@ func prefixSet(total, n int) []bool {
 // DynamicBlockPowerSet is DynamicBlockPower with an arbitrary active-core
 // set (thermal-aware placement studies activate non-contiguous cores).
 func (m *Meter) DynamicBlockPowerSet(fp *floorplan.Floorplan, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, active []bool) ([]float64, error) {
+	return m.DynamicBlockPowerHetero(fp, act, elapsed, cycles, op, uniformPoints(act.nCores, op), active)
+}
+
+// uniformPoints puts all n cores at op.
+func uniformPoints(n int, op dvfs.OperatingPoint) []dvfs.OperatingPoint {
+	pts := make([]dvfs.OperatingPoint, n)
+	for i := range pts {
+		pts[i] = op
+	}
+	return pts
+}
+
+// DynamicBlockPowerHetero is DynamicBlockPowerSet with one operating
+// point per physical core, for chips whose DVFS domains run cores at
+// different supplies: each core block's per-access energy scales with its
+// own core's voltage, while the shared L2 and bus charge at the lead
+// (uncore) point. corePoints must have act.NCores() entries.
+func (m *Meter) DynamicBlockPowerHetero(fp *floorplan.Floorplan, act *Activity, elapsed float64, cycles int64, lead dvfs.OperatingPoint, corePoints []dvfs.OperatingPoint, active []bool) ([]float64, error) {
 	if elapsed <= 0 || cycles <= 0 {
 		return nil, fmt.Errorf("power: non-positive interval (elapsed=%g cycles=%d)", elapsed, cycles)
 	}
 	if act.nCores != len(active) {
 		return nil, fmt.Errorf("power: activity sized for %d cores, active set has %d", act.nCores, len(active))
+	}
+	if len(corePoints) != act.nCores {
+		return nil, fmt.Errorf("power: %d core points for %d cores", len(corePoints), act.nCores)
 	}
 	out := make([]float64, len(fp.Blocks))
 	for i, b := range fp.Blocks {
@@ -270,7 +291,7 @@ func (m *Meter) DynamicBlockPowerSet(fp *floorplan.Floorplan, act *Activity, ela
 				}
 				residual = m.GateResidual*float64(idle-slept) + m.SleepResidual*float64(slept)
 			}
-			unitEnergy = m.budget.PerAccessAt(b.Unit, op.Volt)
+			unitEnergy = m.budget.PerAccessAt(b.Unit, corePoints[b.Core].Volt)
 		case b.Unit == floorplan.UnitL2:
 			// L2 activity is spread across the banks.
 			nBanks := 0
@@ -283,13 +304,13 @@ func (m *Meter) DynamicBlockPowerSet(fp *floorplan.Floorplan, act *Activity, ela
 			if idle := float64(cycles) - accesses; idle > 0 {
 				residual = m.L2GateResidual * idle
 			}
-			unitEnergy = m.budget.PerAccessAt(floorplan.UnitL2, op.Volt) / float64(nBanks)
+			unitEnergy = m.budget.PerAccessAt(floorplan.UnitL2, lead.Volt) / float64(nBanks)
 		case b.Unit == floorplan.UnitBus:
 			accesses = float64(act.BusCount())
 			if idle := float64(cycles) - accesses; idle > 0 {
 				residual = m.GateResidual * idle
 			}
-			unitEnergy = m.budget.PerAccessAt(floorplan.UnitBus, op.Volt)
+			unitEnergy = m.budget.PerAccessAt(floorplan.UnitBus, lead.Volt)
 		}
 		out[i] = m.Renorm * unitEnergy * (accesses + residual) / elapsed
 	}
@@ -336,18 +357,29 @@ func (m *Meter) Evaluate(fp *floorplan.Floorplan, tm *thermal.Model, act *Activi
 // thermal-aware placement studies where the powered cores are not a
 // contiguous prefix.
 func (m *Meter) EvaluateSet(fp *floorplan.Floorplan, tm *thermal.Model, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, active []bool) (*Result, error) {
+	return m.EvaluateHetero(fp, tm, act, elapsed, cycles, op, uniformPoints(act.nCores, op), active)
+}
+
+// EvaluateHetero is EvaluateSet with one operating point per physical
+// core: dynamic energy and the leakage fraction of each core block use
+// that core's supply, shared blocks the lead point.
+func (m *Meter) EvaluateHetero(fp *floorplan.Floorplan, tm *thermal.Model, act *Activity, elapsed float64, cycles int64, lead dvfs.OperatingPoint, corePoints []dvfs.OperatingPoint, active []bool) (*Result, error) {
 	if tm.Floorplan() != fp {
 		return nil, errors.New("power: thermal model built for a different floorplan")
 	}
-	dyn, err := m.DynamicBlockPowerSet(fp, act, elapsed, cycles, op, active)
+	dyn, err := m.DynamicBlockPowerHetero(fp, act, elapsed, cycles, lead, corePoints, active)
 	if err != nil {
 		return nil, err
 	}
 	leak := func(i int, tempC float64) float64 {
+		v := lead.Volt
+		if c := fp.Blocks[i].Core; c >= 0 && c < len(corePoints) {
+			v = corePoints[c].Volt
+		}
 		// Clamp the temperature seen by the leakage model: real parts
 		// thermally throttle near 120 °C, and an unclamped exponential can
 		// otherwise run away numerically for power-virus inputs.
-		return dyn[i] * m.StaticFraction(op.Volt, phys.Clamp(tempC, phys.AmbientTempC, 120))
+		return dyn[i] * m.StaticFraction(v, phys.Clamp(tempC, phys.AmbientTempC, 120))
 	}
 	temps, total, err := tm.SteadyStateCoupled(dyn, leak, 0.01)
 	if err != nil {
