@@ -75,6 +75,8 @@ fuzz:
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzWorkloadIR -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/surrogate -run='^$$' -fuzz=FuzzSurrogateFit -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/router -run='^$$' -fuzz=FuzzNormalizeKey -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME)
 
 # Rewrite the CLI golden files after a deliberate output change; review
 # the testdata/golden diff before committing.

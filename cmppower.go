@@ -393,6 +393,11 @@ type SeedStats = experiment.SeedStats
 // (Experiment.Placement).
 type PlacementStudy = experiment.PlacementStudy
 
+// ErrUnsupportedChip is matched (errors.Is) by the error an experiment
+// returns when it cannot honour the experiment's chip: Placement on a
+// scenario chip with DVFS islands or core classes.
+var ErrUnsupportedChip = experiment.ErrUnsupportedChip
+
 // PlacementPolicy chooses which physical cores host a run.
 type PlacementPolicy = experiment.PlacementPolicy
 

@@ -45,7 +45,8 @@ func (c SweepConfig) workersOrDefault() int {
 // RunIndexed runs fn(i) for every i in [0, n) across a bounded pool of
 // workers (<= 0 means GOMAXPROCS). Indices are dispatched in order;
 // cancellation stops further dispatch, so the completed indices always
-// form a prefix of the input once RunIndexed returns. It returns ctx's
+// form a prefix of the input once RunIndexed returns, and a context
+// cancelled before the call dispatches nothing. It returns ctx's
 // error, nil when every index ran to completion with the context still
 // live. fn must be safe for concurrent calls on distinct indices.
 func RunIndexed(ctx context.Context, workers, n int, fn func(int)) error {
@@ -71,6 +72,12 @@ func RunIndexed(ctx context.Context, workers, n int, fn func(int)) error {
 	}
 dispatch:
 	for i := 0; i < n; i++ {
+		// With a worker already waiting, both select cases below are
+		// ready and Go picks one at random, so a context cancelled before
+		// this send must be caught here or it may still dispatch i.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			break dispatch

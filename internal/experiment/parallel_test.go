@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,5 +310,21 @@ func TestRunIndexedOrderAndBounds(t *testing.T) {
 	}
 	if err := RunIndexed(context.Background(), 4, 0, func(int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
+	}
+	// A pre-cancelled context dispatches nothing, even with workers
+	// already waiting on the dispatch channel. The race is a coin flip
+	// per call, so repeat it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 3, 16} {
+		var ran atomic.Int64
+		for rep := 0; rep < 1000; rep++ {
+			if err := RunIndexed(ctx, workers, 10, func(int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err %v, want context.Canceled", workers, err)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Fatalf("workers=%d: pre-cancelled context ran %d items", workers, n)
+		}
 	}
 }

@@ -40,4 +40,7 @@ go test ./internal/scenario -run='^$' -fuzz=FuzzScenarioLoad -fuzztime=10s
 echo "== fuzz smoke: router body decoder (10s)"
 go test ./internal/router -run='^$' -fuzz=FuzzNormalizeKey -fuzztime=10s
 
+echo "== fuzz smoke: CSV trace parser (10s)"
+go test ./internal/traffic -run='^$' -fuzz=FuzzParseTrace -fuzztime=10s
+
 echo "check: all gates passed"
