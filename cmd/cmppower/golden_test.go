@@ -179,8 +179,8 @@ func TestGoldenLoadgenPlan(t *testing.T) {
 
 // TestGoldenSideExperiments pins the side experiments that assemble their
 // own runs: workload classification, the L1 capacity sweep, the
-// multiprogrammed mix, the transient trace, and the thrifty-barrier and
-// placement ablations.
+// multiprogrammed mix, the transient trace, the thrifty-barrier and
+// placement ablations, and the thermal-map SVG.
 func TestGoldenSideExperiments(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -193,6 +193,7 @@ func TestGoldenSideExperiments(t *testing.T) {
 		{"trace_fft_n2.txt", runTrace, []string{"-app", "FFT", "-n", "2", "-scale", "0.05"}},
 		{"ablate_thrifty.txt", runAblate, []string{"-what", "thrifty", "-scale", "0.05"}},
 		{"ablate_placement.txt", runAblate, []string{"-what", "placement", "-scale", "0.05"}},
+		{"svg_fmm_n4.svg", runSVG, []string{"-app", "FMM", "-n", "4", "-freq", "2400", "-scale", "0.1"}},
 	} {
 		checkGolden(t, c.name, captureStdout(t, c.fn, c.args))
 	}
