@@ -68,7 +68,8 @@ type Config struct {
 	// lengths vary upward). Samples feed the transient thermal analysis.
 	SampleCycles float64
 	// TraceLast, when positive, records the last TraceLast executed events
-	// into Result.Trace (a ring buffer; negligible overhead when zero).
+	// into Result.Trace (a ring buffer). A traced run executes on the
+	// event-at-a-time reference loop (see Unbatched); zero costs nothing.
 	TraceLast int
 	// PrefetchNextLine enables the hierarchy's next-line prefetcher
 	// (extension A6; off in the paper's baseline configuration).
@@ -84,9 +85,10 @@ type Config struct {
 	// Nil contexts cost nothing.
 	Ctx context.Context
 	// Unbatched selects the reference event-at-a-time core loop instead
-	// of the batched fast path. The two produce bit-identical results
+	// of the fused fast path. The two produce bit-identical results
 	// (engine equivalence tests; doctor check 10); the reference path
-	// exists to prove that and to baseline benchmarks.
+	// exists to prove that and to baseline benchmarks. Traced runs
+	// (TraceLast > 0) take the reference loop whatever this says.
 	Unbatched bool
 	// CacheFault forwards a transient-error hook into the cache hierarchy
 	// (see cache.FaultHook and internal/faults). Nil injects nothing.
@@ -474,14 +476,11 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 		ring:      ring,
 		cancel:    cancel,
 	}
-	switch {
-	case cfg.Unbatched:
+	if cfg.Unbatched || cfg.TraceLast > 0 {
+		// A trace records every event in the seed's order, which only the
+		// reference loop executes one at a time.
 		err = e.runUnbatched()
-	case cfg.TraceLast > 0 || cfg.SampleCycles > 0:
-		// Tracing and interval sampling observe the event interleaving,
-		// so they need the exact-order batched loop.
-		err = e.runBatched()
-	default:
+	} else {
 		err = e.runFused()
 	}
 	if err != nil {

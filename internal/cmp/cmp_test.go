@@ -12,7 +12,7 @@ import (
 	"cmppower/internal/workload"
 )
 
-func nominalPoint(t *testing.T) dvfs.OperatingPoint {
+func nominalPoint(t testing.TB) dvfs.OperatingPoint {
 	t.Helper()
 	tab, err := dvfs.PentiumMStyle(phys.Tech65())
 	if err != nil {

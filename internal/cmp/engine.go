@@ -88,12 +88,11 @@ func releaseRunners(runners []runner) {
 	}
 }
 
-// engine carries one run's mutable state through any of the three core
-// loops: runFused (the default), runBatched (runs that trace or sample
-// the interleaving, such as the DTM replay's sampled run) and
-// runUnbatched (the seed's event-at-a-time reference path, selected by
-// Config.Unbatched). They share every piece of event semantics via
-// handleSync, and the two sampling loops via takeSample, so they can only
+// engine carries one run's mutable state through either core loop:
+// runFused (the default, sampled or not) and runUnbatched (the seed's
+// event-at-a-time reference path, selected by Config.Unbatched and used
+// by traced runs). They share every piece of event semantics via
+// handleSync and the interval samples via takeSample, so they can only
 // diverge in scheduling order, which the equivalence tests and doctor
 // check 10 (exit code 6) pin to bit-identical.
 type engine struct {
@@ -117,12 +116,31 @@ type engine struct {
 	samples   []Sample
 	smp       sampler
 	// wake collects cores made runnable by the last handleSync call; the
-	// batched loop pushes them into the heap after restoring root order.
+	// caller drains them.
 	wake []int
+
+	// A sampled runFused defers compute charges (see drainSampled):
+	// tails[i] holds core i's drained but uncharged compute events, mark
+	// is the post-event clock that closes the current interval, and
+	// (candKey, candCore) is the earliest tail entry that reaches it, in
+	// the seed's (pre-clock, core id) order; candKey is infKey when no
+	// entry does.
+	tails    []tail
+	mark     float64
+	candKey  uint64
+	candCore int
 }
+
+// infKey is +Inf as math.Float64bits: the ordering key of a parked core
+// and of "no candidate".
+const infKey = uint64(0x7FF0000000000000)
 
 func (e *engine) cancelErr() error {
 	return fmt.Errorf("cmp: run cancelled after %d events: %w", e.events, e.cfg.Ctx.Err())
+}
+
+func (e *engine) budgetErr() error {
+	return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
 }
 
 var errDeadlock = errors.New("cmp: deadlock — no runnable core (unbalanced barriers or locks?)")
@@ -205,7 +223,8 @@ func (e *engine) handleSync(pick int, ev workload.Event) (runnable, skipPost boo
 
 // runUnbatched is the seed core loop: scan for the runnable core with
 // the smallest clock, execute exactly one event, repeat. Kept as the
-// reference the batched path is verified against.
+// reference runFused is verified against, and run for traced runs,
+// whose trace records every event in this loop's order.
 func (e *engine) runUnbatched() error {
 	for e.doneCount < e.cfg.NCores {
 		if e.cancel != nil {
@@ -230,7 +249,7 @@ func (e *engine) runUnbatched() error {
 		}
 		e.events++
 		if e.events > e.maxEvents {
-			return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+			return e.budgetErr()
 		}
 		core := e.cores[pick]
 		ev := e.sources[pick].Next()
@@ -265,8 +284,8 @@ func (e *engine) runUnbatched() error {
 	return nil
 }
 
-// refill loads the next batch of events for r. It doubles as the
-// batched loop's cancellation poll: at most batchCap events run between
+// refill loads the next batch of events for r. It doubles as
+// runFused's cancellation poll: at most batchCap events run between
 // polls, comfortably within the "one simulation step" abort contract.
 func (e *engine) refill(r *runner) error {
 	if e.cancel != nil {
@@ -294,27 +313,38 @@ func (e *engine) refill(r *runner) error {
 	return nil
 }
 
-// runFused is the fastest path, used when neither tracing nor sampling
-// observes the event interleaving. It rests on a commutation argument:
-// a compute event mutates only its own core's private state (clock,
-// stats, unit counters), so the relative order in which different
-// cores' compute events execute cannot affect any result. The only
-// cross-core coupling flows through shared structures — the bus, the
-// caches, DRAM, locks, and barriers — whose mutation order and request
-// times must match the seed engine exactly. A core's shared event
-// executes, in the seed schedule, when its pre-event clock is the
-// minimum (clock, id) among runnable cores, and that clock is a pure
-// function of the core's own preceding events. runFused therefore
-// drains each core's compute events eagerly (charging them on the spot)
-// and arbitrates between cores only at memory and synchronization
-// events, ordered by exactly that key. Completed runs are bit-identical
-// to the seed; only the internal event numbering differs, which is
-// observable solely through which event trips the MaxEvents budget or a
-// cancellation — both already error paths.
+// runFused is the fast path for every untraced run. It rests on a
+// commutation argument: a compute event mutates only its own core's
+// private state (clock, stats, unit counters), so the relative order in
+// which different cores' compute events execute cannot affect any
+// result. The only cross-core coupling flows through shared structures
+// — the bus, the caches, DRAM, locks, and barriers — whose mutation
+// order and request times must match the seed engine exactly. A core's
+// shared event executes, in the seed schedule, when its pre-event clock
+// is the minimum (clock, id) among runnable cores, and that clock is a
+// pure function of the core's own preceding events. runFused therefore
+// drains each core's compute events eagerly and arbitrates between
+// cores only at memory and synchronization events, ordered by exactly
+// that key. Completed runs are bit-identical to the seed; only the
+// internal event numbering differs, which is observable solely through
+// which event trips the MaxEvents budget or a cancellation — both
+// already error paths.
+//
+// An unsampled run charges each drained compute event on the spot. A
+// sampled run cannot: an interval sample reads every core's counters
+// at one point of the seed's order, and an eager charge could put
+// another core's later compute events in it. So a sampled run defers
+// compute charges to per-core tails and closes intervals by the cut
+// rule of DESIGN.md §8 (drainSampled, closeCandidates, postlude).
 func (e *engine) runFused() error {
 	nCores := e.cfg.NCores
 	runners := e.newRunners()
 	defer releaseRunners(runners)
+	sampled := e.cfg.SampleCycles > 0
+	if sampled {
+		e.tails = make([]tail, nCores)
+		e.rescan()
+	}
 	// keys[i] is core i's clock at its pending shared event — the seed's
 	// scheduling key for that event — stored as math.Float64bits, which
 	// preserves ordering for non-negative floats and lets the arg-min
@@ -324,7 +354,7 @@ func (e *engine) runFused() error {
 	// exactly the seed's tie-break. (An incremental winner tree was tried
 	// here and lost: at these core counts its dependent-load replay path
 	// costs more per event than the branchless scan over two cache lines.)
-	const infKey = uint64(0x7FF0000000000000)
+	//
 	// The key array is padded to a multiple of four +Inf entries so the
 	// arg-min's value pass can run four independent min chains: the serial
 	// reduction's weakness is not operation count but its one-cycle-per-
@@ -340,13 +370,23 @@ func (e *engine) runFused() error {
 	// run and the buffer entry has usually left the host's cache, while
 	// this compact array stays hot.
 	pend := make([]workload.Event, nCores)
+	// live counts unparked cores (keys[i] != infKey). When exactly one
+	// core is live — serial sections, the tail of a barrier — the arg-min
+	// is trivially the previous winner as long as it has not parked, so
+	// the scan is skipped entirely for the whole single-threaded stretch.
+	// A sampled run's sole live core also charges its compute events
+	// directly, since no other core has events to order against them.
+	live := nCores
 	// advance executes core i's compute events up to its next shared
 	// event (consumed from the batch into pend[i]) and refreshes the
-	// key. The event budget is charged per
-	// drained segment rather than per event; a runaway program can
-	// overshoot the budget by at most one batch before the error trips,
-	// which only shifts where an already-failing run fails.
+	// key. The event budget is charged per drained segment rather than
+	// per event; a runaway program can overshoot the budget by at most
+	// one batch before the error trips, which only shifts where an
+	// already-failing run fails.
 	advance := func(i int) error {
+		if sampled {
+			return e.drainSampled(&runners[i], i, live == 1, &pend[i], &keys[i])
+		}
 		r := &runners[i]
 		core := e.cores[i]
 		for {
@@ -362,7 +402,7 @@ func (e *engine) runFused() error {
 					r.pos += idx + 1
 					e.events += int64(idx)
 					if e.events > e.maxEvents {
-						return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+						return e.budgetErr()
 					}
 					pend[i] = *ev
 					keys[i] = math.Float64bits(core.Clock())
@@ -372,7 +412,7 @@ func (e *engine) runFused() error {
 			}
 			e.events += int64(len(buf))
 			if e.events > e.maxEvents {
-				return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+				return e.budgetErr()
 			}
 			r.pos = r.n
 		}
@@ -383,11 +423,6 @@ func (e *engine) runFused() error {
 		}
 	}
 	states := e.states
-	// live counts unparked cores (keys[i] != infKey). When exactly one
-	// core is live — serial sections, the tail of a barrier — the arg-min
-	// is trivially the previous winner as long as it has not parked, so
-	// the scan is skipped entirely for the whole single-threaded stretch.
-	live := nCores
 	pick := -1
 	for e.doneCount < nCores {
 		if live != 1 || pick < 0 || keys[pick] == infKey {
@@ -417,28 +452,49 @@ func (e *engine) runFused() error {
 		ev := &pend[pick]
 		e.events++
 		if e.events > e.maxEvents {
-			return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+			return e.budgetErr()
+		}
+		key := keys[pick]
+		if sampled {
+			e.closeCandidates(key, pick)
+			if t := &e.tails[pick]; len(t.ents) > 0 {
+				e.charge(pick, len(t.ents))
+			}
 		}
 		if ev.Kind == workload.EvLoad || ev.Kind == workload.EvStore {
 			e.cores[pick].ExecLoadStore(ev.Addr, ev.Kind == workload.EvStore, e.hier)
+			if sampled {
+				e.postlude(key, pick)
+			}
 			if err := advance(pick); err != nil {
 				return err
 			}
 			continue
 		}
 		e.wake = e.wake[:0]
-		if _, _, err := e.handleSync(pick, *ev); err != nil {
+		_, skipPost, err := e.handleSync(pick, *ev)
+		if err != nil {
 			return err
 		}
-		if states[pick] == stRunnable {
-			if err := advance(pick); err != nil {
-				return err
+		if sampled {
+			if !skipPost {
+				e.postlude(key, pick)
 			}
-		} else {
+			e.chargeStepBack(key, pick)
+		}
+		// Woken cores count as live before anything drains, so a sampled
+		// drain never mistakes itself for the sole runner.
+		runnable := states[pick] == stRunnable
+		if !runnable {
 			keys[pick] = infKey
 			live--
 		}
 		live += len(e.wake)
+		if runnable {
+			if err := advance(pick); err != nil {
+				return err
+			}
+		}
 		for _, w := range e.wake {
 			if err := advance(w); err != nil {
 				return err
@@ -448,135 +504,202 @@ func (e *engine) runFused() error {
 	return nil
 }
 
-// runBatched is the fast path for runs that observe the interleaving
-// (tracing or sampling on). Scheduling invariant: the winner of the
-// seed's scan is the minimum of (clock, id) over runnable cores, and a
-// compute/memory event only advances the executing core's clock — it
-// never mutates another core's state or clock. So the current winner
-// may keep executing consecutive compute/memory events, without any
-// global re-pick, for as long as it would keep winning: while its clock
-// stays below the runner-up's clock (or equal with a smaller id). The
-// runner-up bound — the horizon — is constant during such a run because
-// nobody else moves. Synchronization events go through the shared
-// handleSync slow path and force a re-pick, exactly reproducing the
-// seed's global ordering of every shared-resource interaction.
-//
-// One pass over a contiguous clock mirror finds both the winner and the
-// horizon; at realistic core counts that beats an index structure, whose
-// pointer-chasing comparisons cost more than they save, and it amortizes
-// to nothing over a multi-event run. The mirror is refreshed at the only
-// points clocks move: when the picked core's run ends and when handleSync
-// advances woken cores.
-func (e *engine) runBatched() error {
-	nCores := e.cfg.NCores
-	clocks := make([]float64, nCores)
-	for i, c := range e.cores {
-		clocks[i] = c.Clock()
-	}
-	runners := e.newRunners()
-	defer releaseRunners(runners)
-	tracing := e.ring != nil
-	sampleEvery := e.cfg.SampleCycles
-	// track gates the per-event postlude; with tracing and sampling off,
-	// the watermark is unobservable and need not be maintained per event.
-	track := tracing || sampleEvery > 0
-	states := e.states
-repick:
-	for e.doneCount < nCores {
-		// One scan: the minimum (clock, id) is the pick, the runner-up is
-		// the horizon. Ascending ids make "strictly less" the (clock, id)
-		// lexicographic order.
-		best, horizon := math.Inf(1), math.Inf(1)
-		pick, horizonID := -1, -1
-		for i, st := range states {
-			if st != stRunnable {
-				continue
-			}
-			if c := clocks[i]; c < best {
-				best, horizon = c, best
-				pick, horizonID = i, pick
-			} else if c < horizon {
-				horizon, horizonID = c, i
+// deferred is one compute event a sampled run has drained but not
+// charged: the core's clock has moved past it (pre to post), its
+// counters have not.
+type deferred struct {
+	pre, post       float64
+	n, fp, branches int32
+}
+
+// tail is one core's deferred compute events, oldest first. Entries
+// before head are charged; cand indexes the first entry whose
+// post-clock reaches the engine's mark, or is -1.
+type tail struct {
+	ents       []deferred
+	head, cand int
+}
+
+// drainSampled is runFused's advance for a sampled run: it drains core
+// i up to its next event that needs arbitration, which it stores in
+// *pend with its key. While other cores are live, that is the next
+// shared event, and each compute event before it only advances the
+// clock and joins the core's tail, to be charged before the core's own
+// next shared event or earlier, when an interval closes after it. A
+// sole live core (direct) has nothing to order against: it executes
+// compute and memory events in full, in program order, checks each
+// against the mark as the seed's postlude does, and stops only at a
+// synchronization event.
+func (e *engine) drainSampled(r *runner, i int, direct bool, pend *workload.Event, key *uint64) error {
+	core := e.cores[i]
+	for {
+		if r.pos == r.n {
+			if err := e.refill(r); err != nil {
+				return err
 			}
 		}
-		if pick < 0 {
-			return errDeadlock
-		}
-		core := e.cores[pick]
-		r := &runners[pick]
-		for {
-			if r.pos == r.n {
-				if err := e.refill(r); err != nil {
-					return err
+		buf := r.buf[r.pos:r.n]
+		for idx := range buf {
+			ev := &buf[idx]
+			pre := core.Clock()
+			switch {
+			case ev.Kind == workload.EvCompute:
+				if !direct {
+					core.AdvanceCompute(int(ev.N), int(ev.Branches))
+					e.push(i, deferred{pre: pre, post: core.Clock(), n: ev.N, fp: ev.FP, branches: ev.Branches})
+					continue
 				}
-			}
-			buf := r.buf[r.pos:r.n]
-			for idx := range buf {
-				ev := &buf[idx]
-				e.events++
+				core.ExecComputeBurst(int(ev.N), int(ev.FP), int(ev.Branches))
+			case direct && (ev.Kind == workload.EvLoad || ev.Kind == workload.EvStore):
+				core.ExecLoadStore(ev.Addr, ev.Kind == workload.EvStore, e.hier)
+			default:
+				r.pos += idx + 1
+				e.events += int64(idx)
 				if e.events > e.maxEvents {
-					return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+					return e.budgetErr()
 				}
-				switch ev.Kind {
-				case workload.EvCompute:
-					core.ExecCompute(*ev)
-				case workload.EvLoad, workload.EvStore:
-					core.ExecMem(*ev, e.hier)
-				default:
-					// Sync slow path: execute, refresh the clock mirror for
-					// every core the event may have moved, then re-pick —
-					// woken cores can beat the current one.
-					r.pos += idx + 1
-					e.wake = e.wake[:0]
-					_, skipPost, err := e.handleSync(pick, *ev)
-					if err != nil {
-						return err
-					}
-					if !skipPost {
-						if tracing {
-							e.ring.push(TraceEvent{
-								Cycle: core.Clock(), Core: pick, Kind: ev.Kind,
-								N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
-							})
-						}
-						if c := core.Clock(); c > e.watermark {
-							e.watermark = c
-						}
-						if sampleEvery > 0 && e.watermark >= e.lastMark+sampleEvery {
-							e.takeSample()
-						}
-					}
-					clocks[pick] = core.Clock()
-					for _, w := range e.wake {
-						clocks[w] = e.cores[w].Clock()
-					}
-					continue repick
-				}
-				if track {
-					if tracing {
-						e.ring.push(TraceEvent{
-							Cycle: core.Clock(), Core: pick, Kind: ev.Kind,
-							N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
-						})
-					}
-					if c := core.Clock(); c > e.watermark {
-						e.watermark = c
-					}
-					if sampleEvery > 0 && e.watermark >= e.lastMark+sampleEvery {
-						e.takeSample()
-					}
-				}
-				c := core.Clock()
-				if c > horizon || (c == horizon && pick > horizonID) {
-					r.pos += idx + 1
-					clocks[pick] = c
-					continue repick
-				}
+				*pend = *ev
+				*key = math.Float64bits(pre)
+				return nil
 			}
-			r.pos = r.n
+			if c := core.Clock(); c >= e.mark {
+				e.closeInterval(math.Float64bits(pre), i, c)
+			}
+		}
+		e.events += int64(len(buf))
+		if e.events > e.maxEvents {
+			return e.budgetErr()
+		}
+		r.pos = r.n
+	}
+}
+
+// precedes reports whether the event keyed (k, i) comes before the one
+// keyed (k2, i2) in the seed's order: lower pre-clock first, lower core
+// id on ties.
+func precedes(k uint64, i int, k2 uint64, i2 int) bool {
+	return k < k2 || k == k2 && i < i2
+}
+
+// push appends one deferred compute event to core i's tail and records
+// it as the core's candidate when it is the first to reach the mark.
+func (e *engine) push(i int, d deferred) {
+	t := &e.tails[i]
+	t.ents = append(t.ents, d)
+	if t.cand < 0 && d.post >= e.mark {
+		t.cand = len(t.ents) - 1
+		if k := math.Float64bits(d.pre); precedes(k, i, e.candKey, e.candCore) {
+			e.candKey, e.candCore = k, i
 		}
 	}
-	return nil
+}
+
+// charge charges core i's tail entries before index upto, oldest first.
+func (e *engine) charge(i, upto int) {
+	t := &e.tails[i]
+	core := e.cores[i]
+	for _, d := range t.ents[t.head:upto] {
+		core.ChargeCompute(int(d.n), int(d.fp), int(d.branches))
+	}
+	t.head = upto
+	if t.head == len(t.ents) {
+		t.ents, t.head = t.ents[:0], 0
+	}
+}
+
+// chargeBefore charges, on every core, the tail entries that precede
+// the event keyed (k, id) in the seed's order.
+func (e *engine) chargeBefore(k uint64, id int) {
+	for i := range e.tails {
+		t := &e.tails[i]
+		j := t.head
+		for j < len(t.ents) && precedes(math.Float64bits(t.ents[j].pre), i, k, id) {
+			j++
+		}
+		e.charge(i, j)
+	}
+}
+
+// closeCandidates closes every interval whose trigger is a tail entry
+// that precedes the shared event keyed (k, pick). A core's own tail
+// entries all precede its pending shared event, whatever their clocks.
+func (e *engine) closeCandidates(k uint64, pick int) {
+	for e.candKey < k || e.candKey == k && e.candCore <= pick {
+		e.closeAtCandidate()
+	}
+}
+
+// closeAtCandidate closes the current interval at the earliest
+// candidate: it charges every tail entry up to and including it, in the
+// seed's order, and samples.
+func (e *engine) closeAtCandidate() {
+	i := e.candCore
+	t := &e.tails[i]
+	d := t.ents[t.cand]
+	e.charge(i, t.cand+1)
+	e.closeInterval(math.Float64bits(d.pre), i, d.post)
+}
+
+// postlude is the seed's sample check after the shared event keyed
+// (k, pick): when the event's post-clock reaches the mark it closes the
+// interval, after charging every tail entry that precedes it.
+func (e *engine) postlude(k uint64, pick int) {
+	if c := e.cores[pick].Clock(); c >= e.mark {
+		e.closeInterval(k, pick, c)
+	}
+}
+
+// chargeStepBack handles a wake that breaks the seed's (pre-clock, core
+// id) order: with zero-cost synchronization a woken core can resume at
+// the waker's exact pre-clock with a lower id, ahead of tail entries the
+// seed ran before the waker. Charging those entries now restores the
+// order the cut rule relies on (DESIGN.md §8).
+func (e *engine) chargeStepBack(k uint64, pick int) {
+	for _, w := range e.wake {
+		if precedes(math.Float64bits(e.cores[w].Clock()), w, k, pick) {
+			e.chargeBefore(k, pick)
+			return
+		}
+	}
+}
+
+// closeInterval closes the current interval at the trigger keyed
+// (k, id), whose post-event clock is post: it charges every tail entry
+// that precedes the trigger, samples, and finds the next interval's
+// candidates.
+func (e *engine) closeInterval(k uint64, id int, post float64) {
+	e.chargeBefore(k, id)
+	if post > e.watermark {
+		e.watermark = post
+	}
+	e.takeSample()
+	e.rescan()
+}
+
+// rescan sets the mark of the interval takeSample last opened and finds
+// each tail's first entry that reaches it.
+func (e *engine) rescan() {
+	e.mark = e.lastMark + e.cfg.SampleCycles
+	if !(e.mark > e.lastMark) {
+		// SampleCycles is below the clock's resolution here, so the seed's
+		// watermark already reaches the mark and every postlude event
+		// closes an interval.
+		e.mark = math.Inf(-1)
+	}
+	e.candKey, e.candCore = infKey, 0
+	for i := range e.tails {
+		t := &e.tails[i]
+		t.cand = -1
+		for j := t.head; j < len(t.ents); j++ {
+			if d := t.ents[j]; d.post >= e.mark {
+				t.cand = j
+				if k := math.Float64bits(d.pre); precedes(k, i, e.candKey, e.candCore) {
+					e.candKey, e.candCore = k, i
+				}
+				break
+			}
+		}
+	}
 }
 
 // sampler holds the previous cumulative counters between interval

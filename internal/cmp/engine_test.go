@@ -17,7 +17,9 @@ import (
 // mode selects the engine features exercised:
 //
 //	plain   — nothing extra: the pure compute/memory/sync hot path
-//	sampled — interval sampling plus event tracing (the postlude paths)
+//	sampled — interval sampling (the fused loop's deferred charges)
+//	traced  — sampling plus event tracing, which runs the reference
+//	          loop either way: a determinism check of the trace path
 //	thrifty — thrifty barriers (sleep accounting on wake-up)
 //	faulted — cache fault injection (per-access hook in global order)
 func engineTestConfig(t *testing.T, app splash.App, n int, mode string) Config {
@@ -28,6 +30,8 @@ func engineTestConfig(t *testing.T, app splash.App, n int, mode string) Config {
 	switch mode {
 	case "plain":
 	case "sampled":
+		cfg.SampleCycles = 50_000
+	case "traced":
 		cfg.SampleCycles = 50_000
 		cfg.TraceLast = 64
 	case "thrifty":
@@ -88,13 +92,14 @@ func diffResults(a, b *Result) string {
 }
 
 // TestBatchedMatchesUnbatched is the golden equivalence guarantee of this
-// package: the batched fast path produces, for every SPLASH-2 model and
+// package: the fused fast path produces, for every SPLASH-2 model and
 // core count, results bit-identical to the event-at-a-time reference
 // loop — every cycle count, counter, activity record, interval sample,
 // and trace entry. Modes cover sampling, tracing, thrifty barriers, and
 // deterministic fault injection (which is order-sensitive: the per-access
 // fault stream only matches if the engines issue cache accesses in the
-// same global order).
+// same global order). TestSampledMatchesReference covers sampling in
+// depth.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	apps := splash.Catalog()
 	if len(apps) != 12 {
@@ -110,7 +115,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 			// plain and faulted modes cover the full matrix.
 			modes := []string{"plain", "faulted"}
 			if app.Name == "FFT" || app.Name == "Ocean" || app.Name == "Radiosity" {
-				modes = append(modes, "sampled", "thrifty")
+				modes = append(modes, "sampled", "traced", "thrifty")
 			}
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/n%d/%s", app.Name, n, mode), func(t *testing.T) {

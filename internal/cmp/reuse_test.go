@@ -20,7 +20,8 @@ type reuseShape struct {
 
 // reuseShapes returns shape B — a plain Table 1 run — and the shapes A
 // that run between two B runs: a different core count, a CacheOverride
-// geometry, the prefetcher, and a sampled (batched-loop) run.
+// geometry, the prefetcher, and a sampled run, whose fused loop also
+// grows per-core tails of deferred compute events.
 func reuseShapes(t *testing.T) (b reuseShape, as []reuseShape) {
 	t.Helper()
 	p := nominalPoint(t)
@@ -47,10 +48,7 @@ func reuseShapes(t *testing.T) (b reuseShape, as []reuseShape) {
 			c.CacheOverride = &cc
 		}),
 		shape("A/prefetch", "Radix", 4, func(c *Config) { c.PrefetchNextLine = true }),
-		shape("A/sampled", "LU", 2, func(c *Config) {
-			c.SampleCycles = 50_000
-			c.TraceLast = 64
-		}),
+		shape("A/sampled", "LU", 2, func(c *Config) { c.SampleCycles = 50_000 }),
 	}
 	return b, as
 }

@@ -198,9 +198,28 @@ func (c *Core) Stats() Stats {
 // Activity returns the access count of unit u.
 func (c *Core) Activity(u floorplan.Unit) int64 { return c.activity[u] }
 
-// chargeFrontEnd accounts fetch/decode/rename/issue activity and the
-// statistical instruction-cache behavior for n instructions.
-func (c *Core) chargeFrontEnd(n int, branches int) {
+// burstCost is what a compute burst of n instructions costs in time,
+// split the way the counters record it: the statistical I-cache misses
+// and their fetch stall, the issue cycles, and the misprediction
+// penalty. ExecComputeBurst, AdvanceCompute and ChargeCompute all take
+// their numbers from here, so the clock and counter halves of a burst
+// come from the same float operations.
+func (c *Core) burstCost(n, branches int) (misses, fetchStall, cycles, penalty float64) {
+	misses = float64(n) * c.cfg.IL1MissRate
+	fetchStall = misses * c.cfg.IL1MissCycles * c.dilate
+	if n < len(c.cycleTab) {
+		cycles = c.cycleTab[n]
+	} else {
+		cycles = float64(n) / c.cfg.IPCNonMem * c.dilate
+	}
+	penalty = float64(branches) * c.cfg.BranchMissRate * c.cfg.BranchPenaltyCycles * c.dilate
+	return misses, fetchStall, cycles, penalty
+}
+
+// chargeBurst adds one compute burst to the counters: front-end
+// activity (fetch/decode/rename/issue and the I-cache), the functional
+// units, and the cycle and instruction totals. It leaves the clock alone.
+func (c *Core) chargeBurst(n, fp, branches int, misses, fetchStall, cycles, penalty float64) {
 	n64 := int64(n)
 	c.activity[floorplan.UnitFetch] += n64
 	c.activity[floorplan.UnitRename] += n64
@@ -215,15 +234,22 @@ func (c *Core) chargeFrontEnd(n int, branches int) {
 	}
 	c.activity[floorplan.UnitIL1] += int64(il1)
 	c.stats.IL1Accesses += int64(il1)
-	misses := float64(n) * c.cfg.IL1MissRate
 	c.stats.IL1Misses += misses
-	fetchStall := misses * c.cfg.IL1MissCycles * c.dilate
 	c.stats.FetchCycles += fetchStall
-	c.clock += fetchStall
+	ints := n - fp
+	if ints < 0 {
+		ints = 0
+	}
+	c.activity[floorplan.UnitIALU] += int64(ints)
+	c.activity[floorplan.UnitFALU] += int64(fp)
+	c.stats.ComputeCycles += cycles
+	c.stats.BranchCycles += penalty
+	c.stats.Instructions += n64
 }
 
-// chargeFrontEndOne is chargeFrontEnd(1, 0): the memory- and sync-event
-// case. One instruction is one I-cache access regardless of fetch width,
+// chargeFrontEndOne is the front-end share of chargeBurst for one
+// instruction with no branches: the memory- and sync-event case. One
+// instruction is one I-cache access regardless of fetch width,
 // float64(1)*rate is exactly rate, and missStall1 is the same
 // rate*IL1MissCycles product — so every counter and the clock move
 // bit-identically to the general path.
@@ -254,25 +280,37 @@ func (c *Core) ExecComputeBurst(n, fp, branches int) {
 	if n <= 0 {
 		return
 	}
-	c.chargeFrontEnd(n, branches)
-	ints := n - fp
-	if ints < 0 {
-		ints = 0
-	}
-	c.activity[floorplan.UnitIALU] += int64(ints)
-	c.activity[floorplan.UnitFALU] += int64(fp)
-
-	var cycles float64
-	if n < len(c.cycleTab) {
-		cycles = c.cycleTab[n]
-	} else {
-		cycles = float64(n) / c.cfg.IPCNonMem * c.dilate
-	}
-	penalty := float64(branches) * c.cfg.BranchMissRate * c.cfg.BranchPenaltyCycles * c.dilate
-	c.stats.ComputeCycles += cycles
-	c.stats.BranchCycles += penalty
+	misses, fetchStall, cycles, penalty := c.burstCost(n, branches)
+	c.chargeBurst(n, fp, branches, misses, fetchStall, cycles, penalty)
+	c.clock += fetchStall
 	c.clock += cycles + penalty
-	c.stats.Instructions += int64(n)
+}
+
+// AdvanceCompute is the clock half of ExecComputeBurst: it moves the
+// clock exactly as ExecComputeBurst(n, fp, branches) would and touches
+// no counter. A sampled engine run uses it to learn when a core's next
+// shared event happens while deferring the counters; ChargeCompute
+// later supplies the other half. AdvanceCompute then ChargeCompute, in
+// any interleaving with other cores, leaves the core bit-identical to
+// ExecComputeBurst, provided each core's charges keep its own order.
+func (c *Core) AdvanceCompute(n, branches int) {
+	if n <= 0 {
+		return
+	}
+	_, fetchStall, cycles, penalty := c.burstCost(n, branches)
+	c.clock += fetchStall
+	c.clock += cycles + penalty
+}
+
+// ChargeCompute is the counter half of ExecComputeBurst (see
+// AdvanceCompute): every counter moves as ExecComputeBurst would move
+// it, and the clock does not.
+func (c *Core) ChargeCompute(n, fp, branches int) {
+	if n <= 0 {
+		return
+	}
+	misses, fetchStall, cycles, penalty := c.burstCost(n, branches)
+	c.chargeBurst(n, fp, branches, misses, fetchStall, cycles, penalty)
 }
 
 // ExecMem executes one load or store through the memory system.

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -357,5 +358,80 @@ func TestSpeedRatioValidate(t *testing.T) {
 	cfg.SpeedRatio = -0.5
 	if err := cfg.Validate(); err == nil {
 		t.Error("accepted negative speed ratio")
+	}
+}
+
+// statsBits flattens Stats to raw bits, so a comparison tells -0 from +0
+// and catches a last-place float difference.
+func statsBits(s Stats) []uint64 {
+	v := reflect.ValueOf(s)
+	out := make([]uint64, v.NumField())
+	for i := range out {
+		if f := v.Field(i); f.Kind() == reflect.Float64 {
+			out[i] = math.Float64bits(f.Float())
+		} else {
+			out[i] = uint64(f.Int())
+		}
+	}
+	return out
+}
+
+// TestAdvanceThenChargeMatchesExecComputeBurst pins the split a sampled
+// engine run relies on: AdvanceCompute moves the clock bit for bit as
+// ExecComputeBurst does, and charging the same bursts later, in order,
+// before the core's next memory or sync event, leaves every counter bit
+// for bit where ExecComputeBurst leaves it. Bursts are random, long ones
+// (n >= 64, past the cycle table) included, on full- and part-speed cores
+// with a non-power-of-two fetch width.
+func TestAdvanceThenChargeMatchesExecComputeBurst(t *testing.T) {
+	base := DefaultConfig()
+	base.IPCNonMem = 2.3
+	base.IL1MissRate = 0.0017
+	slow := base
+	slow.SpeedRatio = 0.55
+	odd := slow
+	odd.FetchWidth = 3
+	for _, cfg := range []Config{base, slow, odd} {
+		ref, split := newCore(t, cfg), newCore(t, cfg)
+		refMem, splitMem := &fixedMem{latency: 41.25}, &fixedMem{latency: 41.25}
+		rng := workload.NewRNG(uint64(cfg.FetchWidth)*7 + uint64(cfg.SpeedRatio*100))
+		var pending [][3]int
+		chargePending := func() {
+			for _, b := range pending {
+				split.ChargeCompute(b[0], b[1], b[2])
+			}
+			pending = pending[:0]
+		}
+		for step := 0; step < 4000; step++ {
+			switch rng.Intn(6) {
+			case 0:
+				chargePending()
+				ref.ExecLoadStore(uint64(step*64), step%3 == 0, refMem)
+				split.ExecLoadStore(uint64(step*64), step%3 == 0, splitMem)
+			case 1:
+				chargePending()
+				ref.ExecSync(12)
+				split.ExecSync(12)
+			default:
+				n := rng.Intn(300)
+				if rng.Intn(4) == 0 {
+					n = rng.Intn(64)
+				}
+				fp, br := rng.Intn(n+1), rng.Intn(n/4+1)
+				ref.ExecComputeBurst(n, fp, br)
+				split.AdvanceCompute(n, br)
+				pending = append(pending, [3]int{n, fp, br})
+			}
+			if math.Float64bits(ref.Clock()) != math.Float64bits(split.Clock()) {
+				t.Fatalf("speed %g step %d: clock %v, split %v", cfg.SpeedRatio, step, ref.Clock(), split.Clock())
+			}
+		}
+		chargePending()
+		if !reflect.DeepEqual(statsBits(ref.Stats()), statsBits(split.Stats())) {
+			t.Errorf("speed %g: stats differ:\n%+v\n%+v", cfg.SpeedRatio, ref.Stats(), split.Stats())
+		}
+		if ref.activity != split.activity {
+			t.Errorf("speed %g: activity differs:\n%v\n%v", cfg.SpeedRatio, ref.activity, split.activity)
+		}
 	}
 }
