@@ -105,11 +105,14 @@ func runDoctor(args []string) error {
 	return nil
 }
 
-// checkBatchedEngine runs a smoke workload through the batched fast path
+// checkBatchedEngine runs a smoke workload through the fused fast path
 // and the event-at-a-time reference loop and requires identical results —
 // the fast path's bit-identity guarantee, self-verifying in the field.
 // The workload deliberately mixes compute, memory, barriers, and critical
 // sections (FFT has all four) at a core count where arbitration matters.
+// It runs twice: unsampled, and sampled into 64 intervals as a DTM
+// replay is, where the fused loop defers compute charges and every
+// interval sample must match too.
 func checkBatchedEngine() error {
 	app, err := cmppower.AppByName("FFT")
 	if err != nil {
@@ -119,26 +122,32 @@ func checkBatchedEngine() error {
 	if err != nil {
 		return err
 	}
-	run := func(unbatched bool) (*cmppower.SimResult, error) {
+	run := func(unbatched bool, sampleCycles float64) (*cmppower.SimResult, error) {
 		cfg := cmppower.DefaultSimConfig(4, tab.Nominal())
 		cfg.Core = app.CoreConfig()
 		cfg.Unbatched = unbatched
+		cfg.SampleCycles = sampleCycles
 		return cmppower.Simulate(app.Program(0.1), cfg)
 	}
-	fast, err := run(false)
-	if err != nil {
-		return err
-	}
-	ref, err := run(true)
-	if err != nil {
-		return err
-	}
-	if fast.Cycles != ref.Cycles || fast.Instructions != ref.Instructions ||
-		!reflect.DeepEqual(fast.PerCore, ref.PerCore) ||
-		!reflect.DeepEqual(fast.Activity, ref.Activity) ||
-		!reflect.DeepEqual(fast.CacheStats, ref.CacheStats) {
-		return fmt.Errorf("batched engine diverged: %g cyc / %d instr vs %g cyc / %d instr",
-			fast.Cycles, fast.Instructions, ref.Cycles, ref.Instructions)
+	var sampleCycles float64
+	for _, mode := range []string{"unsampled", "sampled"} {
+		fast, err := run(false, sampleCycles)
+		if err != nil {
+			return err
+		}
+		ref, err := run(true, sampleCycles)
+		if err != nil {
+			return err
+		}
+		if fast.Cycles != ref.Cycles || fast.Instructions != ref.Instructions ||
+			!reflect.DeepEqual(fast.PerCore, ref.PerCore) ||
+			!reflect.DeepEqual(fast.Activity, ref.Activity) ||
+			!reflect.DeepEqual(fast.CacheStats, ref.CacheStats) ||
+			!reflect.DeepEqual(fast.Samples, ref.Samples) {
+			return fmt.Errorf("batched engine diverged (%s): %g cyc / %d instr / %d samples vs %g cyc / %d instr / %d samples",
+				mode, fast.Cycles, fast.Instructions, len(fast.Samples), ref.Cycles, ref.Instructions, len(ref.Samples))
+		}
+		sampleCycles = ref.Cycles / 64
 	}
 	return nil
 }
