@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -117,24 +118,14 @@ func runSVG(args []string) error {
 		return err
 	}
 	point := rig.Table.PointFor(*freqMHz * 1e6)
-	m, err := rig.RunApp(app, *n, point)
-	if err != nil {
-		return err
-	}
-	// Re-evaluate to obtain per-block temperatures.
-	cfg := cmppower.DefaultSimConfig(*n, point)
-	cfg.Core = app.CoreConfig()
-	res, err := cmppower.Simulate(app.Program(*scale), cfg)
-	if err != nil {
-		return err
-	}
-	pw, err := rig.Meter.Evaluate(rig.FP, rig.TM, res.Activity, res.Seconds,
-		int64(res.Cycles)+1, point, *n)
+	// One run through the rig's pipeline gives both the title's power
+	// and the per-block temperatures the map is coloured by.
+	_, pw, err := rig.Simulate(context.Background(), app, *n, point, nil)
 	if err != nil {
 		return err
 	}
 	opts := render.DefaultOptions(fmt.Sprintf("%s on %d core(s) at %s — %.2f W, avg %.1f °C",
-		app.Name, *n, point, m.PowerW, pw.AvgCoreTemp))
+		app.Name, *n, point, pw.TotalW, pw.AvgCoreTemp))
 	svg, err := render.FloorplanSVG(rig.FP, pw.TempC, opts)
 	if err != nil {
 		return err
