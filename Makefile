@@ -25,14 +25,14 @@ doctor: build
 
 # Regenerate the committed benchmark baseline (slow; run on a quiet host).
 bench: build
-	$(GO) run ./cmd/cmppower bench -out BENCH_9.json
-	@cat BENCH_9.json
+	$(GO) run ./cmd/cmppower bench -out BENCH_10.json
+	@cat BENCH_10.json
 
 # CI regression gate: quick re-measure, then compare speedup ratios
 # against the committed baseline (fails on >20% regression).
 bench-check: build
 	$(GO) run ./cmd/cmppower bench -quick -out /tmp/bench-current.json
-	$(GO) run ./scripts/benchgate BENCH_9.json /tmp/bench-current.json
+	$(GO) run ./scripts/benchgate BENCH_10.json /tmp/bench-current.json
 
 # Coverage regression gate (floor recorded in scripts/covergate.sh).
 cover:

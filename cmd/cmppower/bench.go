@@ -22,14 +22,16 @@ import (
 )
 
 // benchReport is the BENCH_<n>.json schema: the recorded performance
-// trajectory of the two hot loops plus one end-to-end figure. Absolute
-// rates are machine-dependent and only comparable on one host; the
-// Speedup ratios (fast path vs in-binary reference implementation) are
-// what the CI regression gate compares, since both sides of a ratio move
-// together with host speed. No timestamps: the file must be diffable.
+// trajectory of the hot loops plus end-to-end figures. Absolute rates
+// are machine-dependent and only comparable on one host; the ratios
+// (fast path vs in-binary reference implementation, sampled vs
+// unsampled run) are what the CI regression gate compares, since both
+// sides of a ratio move together with host speed. No timestamps: the
+// file must be diffable.
 type benchReport struct {
 	Schema    int            `json:"schema"`
 	Engine    engineBench    `json:"engine"`
+	Observed  observedBench  `json:"observed"`
 	Thermal   thermalBench   `json:"thermal"`
 	Fig3      endToEndBench  `json:"fig3"`
 	Sweep     sweepBench     `json:"sweep"`
@@ -39,12 +41,28 @@ type benchReport struct {
 type engineBench struct {
 	Workload string `json:"workload"`
 	Events   int64  `json:"events"`
-	// Batched is the fused fast-path throughput, Unbatched the
-	// event-at-a-time reference loop (the seed engine's structure) in the
-	// same binary. Best of the measured repetitions, events per second.
+	// Batched is the throughput of runFused, the engine's fast loop;
+	// Unbatched is runUnbatched, the event-at-a-time reference loop (the
+	// seed engine's structure), in the same binary. Best of the measured
+	// repetitions, events per second. The JSON names predate runFused
+	// and stay so older baselines parse.
 	BatchedEventsPerSec   float64 `json:"batched_events_per_sec"`
 	UnbatchedEventsPerSec float64 `json:"unbatched_events_per_sec"`
 	Speedup               float64 `json:"speedup"`
+}
+
+// observedBench is the observed-run figure (schema 10): the engine
+// workload sampled into Intervals activity intervals, as a DTM replay
+// samples its run, against the same run unsampled. Both run on the
+// fused loop. RelativeSpeed is the unsampled time over the sampled
+// time — 1 means sampling is free — and scripts/benchgate gates it like
+// the speedup ratios.
+type observedBench struct {
+	Workload         string  `json:"workload"`
+	Intervals        int     `json:"intervals"`
+	UnsampledSeconds float64 `json:"unsampled_seconds"`
+	SampledSeconds   float64 `json:"sampled_seconds"`
+	RelativeSpeed    float64 `json:"relative_speed"`
 }
 
 type thermalBench struct {
@@ -101,8 +119,9 @@ type surrogateBench struct {
 	Speedup          float64 `json:"speedup"`
 }
 
-// runBench measures engine and thermal throughput plus an end-to-end
-// fig3 sweep and emits the report as JSON (stdout, or -out FILE).
+// runBench measures engine throughput, the cost of sampling a run,
+// thermal throughput, and end-to-end sweeps, and emits the report as
+// JSON (stdout, or -out FILE).
 // -quick cuts repetitions for CI; the ratios it reports are the same
 // quantities, just noisier.
 func runBench(args []string) error {
@@ -116,7 +135,7 @@ func runBench(args []string) error {
 	if *manifests != "" {
 		return benchManifests(*manifests)
 	}
-	rep := benchReport{Schema: 9}
+	rep := benchReport{Schema: 10}
 
 	engineReps, thermalSolves, refSolves := 6, 20000, 300
 	if *quick {
@@ -128,6 +147,12 @@ func runBench(args []string) error {
 		return err
 	}
 	rep.Engine = eng
+
+	ob, err := benchObserved(engineReps)
+	if err != nil {
+		return err
+	}
+	rep.Observed = ob
 
 	th, err := benchThermal(thermalSolves, refSolves)
 	if err != nil {
@@ -274,6 +299,59 @@ func benchEngine(reps int) (engineBench, error) {
 		BatchedEventsPerSec:   batched,
 		UnbatchedEventsPerSec: unbatched,
 		Speedup:               batched / unbatched,
+	}, nil
+}
+
+// benchObserved times benchEngine's workload on the fused loop sampled
+// into 64 intervals and unsampled, alternating the two, best of reps
+// each. The interval length comes from the unsampled run's cycle count,
+// as a DTM replay derives it.
+func benchObserved(reps int) (observedBench, error) {
+	const intervals = 64
+	app, err := cmppower.AppByName("Ocean")
+	if err != nil {
+		return observedBench{}, err
+	}
+	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
+	if err != nil {
+		return observedBench{}, err
+	}
+	prog := app.Program(0.5)
+	cfg := cmppower.DefaultSimConfig(16, tab.Nominal())
+	cfg.Core = app.CoreConfig()
+	cfg.Ctx = context.Background()
+	probe, err := cmppower.Simulate(prog, cfg)
+	if err != nil {
+		return observedBench{}, err
+	}
+	sampled := cfg
+	sampled.SampleCycles = probe.Cycles / intervals
+	timeRun := func(cfg cmppower.SimConfig) (time.Duration, error) {
+		start := time.Now()
+		_, err := cmppower.Simulate(prog, cfg)
+		return time.Since(start), err
+	}
+	bestPlain, bestSampled := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	// One unmeasured pair warms the host as benchEngine's warm-up does.
+	for i := -1; i < reps; i++ {
+		plain, err := timeRun(cfg)
+		if err != nil {
+			return observedBench{}, err
+		}
+		obs, err := timeRun(sampled)
+		if err != nil {
+			return observedBench{}, err
+		}
+		if i >= 0 {
+			bestPlain, bestSampled = min(bestPlain, plain), min(bestSampled, obs)
+		}
+	}
+	return observedBench{
+		Workload:         fmt.Sprintf("Ocean scale=0.5, 16 cores, nominal V/f, %d intervals", intervals),
+		Intervals:        intervals,
+		UnsampledSeconds: bestPlain.Seconds(),
+		SampledSeconds:   bestSampled.Seconds(),
+		RelativeSpeed:    bestPlain.Seconds() / bestSampled.Seconds(),
 	}, nil
 }
 

@@ -1,7 +1,7 @@
 // Command benchgate compares a fresh `cmppower bench` report against the
-// committed baseline (BENCH_9.json) and fails on a real regression.
+// committed baseline (BENCH_10.json) and fails on a real regression.
 //
-//	go run ./scripts/benchgate BENCH_9.json /tmp/bench.json [tolerance]
+//	go run ./scripts/benchgate BENCH_10.json /tmp/bench.json [tolerance]
 //
 // Only the speedup ratios are gated — fast path vs reference
 // implementation, measured in the same process — because both sides of a
@@ -11,11 +11,11 @@
 // gate fails. Absolute numbers are still printed, benchstat-style, for
 // the reader.
 //
-// Schema 3 (pre-incremental-simulation), schema 8, and schema 9 reports
-// are all accepted; the sweep cold/warm ratio and the surrogate
-// exact/surrogate ratio are each gated only when baseline and current
-// both carry them, so an old baseline still gates the engine and
-// thermal ratios.
+// Schema 3 (pre-incremental-simulation), 8, 9, and 10 reports are all
+// accepted; the sweep cold/warm ratio, the surrogate exact/surrogate
+// ratio, and the observed unsampled/sampled ratio are each gated only
+// when baseline and current both carry them, so an old baseline still
+// gates the engine and thermal ratios.
 package main
 
 import (
@@ -33,6 +33,11 @@ type report struct {
 		UnbatchedEventsPerSec float64 `json:"unbatched_events_per_sec"`
 		Speedup               float64 `json:"speedup"`
 	} `json:"engine"`
+	Observed struct {
+		UnsampledSeconds float64 `json:"unsampled_seconds"`
+		SampledSeconds   float64 `json:"sampled_seconds"`
+		RelativeSpeed    float64 `json:"relative_speed"`
+	} `json:"observed"`
 	Thermal struct {
 		FactoredSolvesPerSec  float64 `json:"factored_solves_per_sec"`
 		ReferenceSolvesPerSec float64 `json:"reference_solves_per_sec"`
@@ -62,8 +67,10 @@ func load(path string) (report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("%s: %w", path, err)
 	}
-	if r.Schema != 3 && r.Schema != 8 && r.Schema != 9 {
-		return r, fmt.Errorf("%s: schema %d, want 3, 8, or 9", path, r.Schema)
+	switch r.Schema {
+	case 3, 8, 9, 10:
+	default:
+		return r, fmt.Errorf("%s: schema %d, want 3, 8, 9, or 10", path, r.Schema)
 	}
 	return r, nil
 }
@@ -104,6 +111,16 @@ func main() {
 	row("engine batched ev/s", base.Engine.BatchedEventsPerSec, cur.Engine.BatchedEventsPerSec)
 	row("engine unbatched ev/s", base.Engine.UnbatchedEventsPerSec, cur.Engine.UnbatchedEventsPerSec)
 	row("engine speedup [gated]", base.Engine.Speedup, cur.Engine.Speedup)
+	gateObserved := base.Observed.RelativeSpeed > 0 && cur.Observed.RelativeSpeed > 0
+	if cur.Observed.RelativeSpeed > 0 {
+		row("observed unsampled seconds", base.Observed.UnsampledSeconds, cur.Observed.UnsampledSeconds)
+		row("observed sampled seconds", base.Observed.SampledSeconds, cur.Observed.SampledSeconds)
+		name := "observed relative speed"
+		if gateObserved {
+			name += " [gated]"
+		}
+		row(name, base.Observed.RelativeSpeed, cur.Observed.RelativeSpeed)
+	}
 	row("thermal factored solves/s", base.Thermal.FactoredSolvesPerSec, cur.Thermal.FactoredSolvesPerSec)
 	row("thermal reference solves/s", base.Thermal.ReferenceSolvesPerSec, cur.Thermal.ReferenceSolvesPerSec)
 	row("thermal speedup [gated]", base.Thermal.Speedup, cur.Thermal.Speedup)
@@ -138,6 +155,9 @@ func main() {
 		}
 	}
 	gate("engine speedup", base.Engine.Speedup, cur.Engine.Speedup)
+	if gateObserved {
+		gate("observed relative speed", base.Observed.RelativeSpeed, cur.Observed.RelativeSpeed)
+	}
 	gate("thermal speedup", base.Thermal.Speedup, cur.Thermal.Speedup)
 	if gateSweep {
 		gate("sweep speedup", base.Sweep.Speedup, cur.Sweep.Speedup)
