@@ -374,8 +374,9 @@ func (e *engine) runFused() error {
 	// core is live — serial sections, the tail of a barrier — the arg-min
 	// is trivially the previous winner as long as it has not parked, so
 	// the scan is skipped entirely for the whole single-threaded stretch.
-	// A sampled run's sole live core also charges its compute events
-	// directly, since no other core has events to order against them.
+	// A sampled run's sole live core also runs its compute and memory
+	// events in full as it drains them, since no other core has events to
+	// order against them (drainSampled).
 	live := nCores
 	// advance executes core i's compute events up to its next shared
 	// event (consumed from the batch into pend[i]) and refreshes the

@@ -82,7 +82,10 @@ func sampledBaseConfig(t *testing.T, app splash.App, n int) Config {
 // bit for bit — every sample, counter and cycle. One-cycle intervals
 // close after almost every event, so they exercise the cut rule at its
 // finest grain; they run on the plain and zero-cost-sync variants only,
-// to keep the test to a few seconds.
+// to keep the test to a few seconds. The RunMulti subtest covers
+// multiprogrammed mixes, whose jobs never wait on each other: every
+// barrier releases at once and every lock is private, so all cores stay
+// live until they finish.
 func TestSampledMatchesReference(t *testing.T) {
 	const scale = 0.02
 	for _, app := range splash.Catalog() {
@@ -124,36 +127,32 @@ func TestSampledMatchesReference(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestSampledMatchesReferenceMulti covers RunMulti, whose jobs never
-// wait on each other: every barrier releases at once and every lock is
-// private, so all cores stay live until they finish.
-func TestSampledMatchesReferenceMulti(t *testing.T) {
-	apps := splash.Catalog()
-	for _, mix := range [][]int{{0, 3, 6, 9}, {1, 5, 10}} {
-		progs := make([]*workload.Program, 0, len(mix))
-		for _, i := range mix {
-			progs = append(progs, apps[i].Program(0.02))
-		}
-		for _, s := range []float64{1, 997.5, 20_000} {
-			run := func(unbatched bool) *Result {
-				t.Helper()
-				cfg := DefaultConfig(len(progs), nominalPoint(t))
-				cfg.Seed = 5
-				cfg.SampleCycles = s
-				cfg.Unbatched = unbatched
-				res, err := RunMulti(progs, cfg)
-				if err != nil {
-					t.Fatal(err)
+	t.Run("RunMulti", func(t *testing.T) {
+		apps := splash.Catalog()
+		for _, mix := range [][]int{{0, 3, 6, 9}, {1, 5, 10}} {
+			progs := make([]*workload.Program, 0, len(mix))
+			for _, i := range mix {
+				progs = append(progs, apps[i].Program(scale))
+			}
+			for _, s := range []float64{1, 997.5, 20_000} {
+				run := func(unbatched bool) *Result {
+					t.Helper()
+					cfg := DefaultConfig(len(progs), nominalPoint(t))
+					cfg.Seed = 5
+					cfg.SampleCycles = s
+					cfg.Unbatched = unbatched
+					res, err := RunMulti(progs, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
 				}
-				return res
-			}
-			if d := diffResults(run(false), run(true)); d != "" {
-				t.Errorf("mix %v, SampleCycles %g: %s", mix, s, d)
+				if d := diffResults(run(false), run(true)); d != "" {
+					t.Errorf("mix %v, SampleCycles %g: %s", mix, s, d)
+				}
 			}
 		}
-	}
+	})
 }
 
 // scriptSource replays a fixed event list, then reports EvDone forever.
