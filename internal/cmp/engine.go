@@ -588,10 +588,16 @@ func (e *engine) push(i int, d deferred) {
 	t := &e.tails[i]
 	t.ents = append(t.ents, d)
 	if t.cand < 0 && d.post >= e.mark {
-		t.cand = len(t.ents) - 1
-		if k := math.Float64bits(d.pre); precedes(k, i, e.candKey, e.candCore) {
-			e.candKey, e.candCore = k, i
-		}
+		e.setCandidate(i, len(t.ents)-1)
+	}
+}
+
+// setCandidate makes tail entry j core i's candidate and keeps
+// (candKey, candCore) the earliest candidate over all cores.
+func (e *engine) setCandidate(i, j int) {
+	e.tails[i].cand = j
+	if k := math.Float64bits(e.tails[i].ents[j].pre); precedes(k, i, e.candKey, e.candCore) {
+		e.candKey, e.candCore = k, i
 	}
 }
 
@@ -692,11 +698,8 @@ func (e *engine) rescan() {
 		t := &e.tails[i]
 		t.cand = -1
 		for j := t.head; j < len(t.ents); j++ {
-			if d := t.ents[j]; d.post >= e.mark {
-				t.cand = j
-				if k := math.Float64bits(d.pre); precedes(k, i, e.candKey, e.candCore) {
-					e.candKey, e.candCore = k, i
-				}
+			if t.ents[j].post >= e.mark {
+				e.setCandidate(i, j)
 				break
 			}
 		}

@@ -290,9 +290,10 @@ func (c *Core) ExecComputeBurst(n, fp, branches int) {
 // clock exactly as ExecComputeBurst(n, fp, branches) would and touches
 // no counter. A sampled engine run uses it to learn when a core's next
 // shared event happens while deferring the counters; ChargeCompute
-// later supplies the other half. AdvanceCompute then ChargeCompute, in
-// any interleaving with other cores, leaves the core bit-identical to
-// ExecComputeBurst, provided each core's charges keep its own order.
+// later supplies the other half. The core ends bit-identical to
+// ExecComputeBurst's as long as its charges follow the order of its
+// advances and come before its next memory or sync event, whose front-end
+// charges add to the same float counters.
 func (c *Core) AdvanceCompute(n, branches int) {
 	if n <= 0 {
 		return
