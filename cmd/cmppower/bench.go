@@ -166,7 +166,7 @@ func runBench(args []string) error {
 	}
 	rep.Fig3 = e2e
 
-	sw, err := benchSweep(*quick)
+	sw, err := benchSweep()
 	if err != nil {
 		return err
 	}
@@ -535,20 +535,14 @@ func benchSurrogate(quick bool) (surrogateBench, error) {
 // warm lets completed columns record checkpoints that later rungs fork
 // from, and repeated (app, n, point) runs hit the memo. Each measurement
 // uses a fresh rig so nothing leaks between reps; best of reps.
-func benchSweep(quick bool) (sweepBench, error) {
-	// Quick mode cuts repetitions, not scale: the cold/warm ratio depends
+func benchSweep() (sweepBench, error) {
+	// -quick does not reduce this benchmark: the cold/warm ratio depends
 	// strongly on run length (recording costs a fixed ~32 B/event while
 	// the generation it avoids grows with run compute), so a reduced-scale
-	// measurement would not be comparable against the committed baseline.
-	// Quick mode does not reduce this benchmark: the cold/warm ratio
-	// depends strongly on run length (recording costs a fixed ~32 B/event
-	// while the generation it avoids grows with run compute), so a
-	// reduced-scale measurement would not be comparable against the
-	// committed baseline, and fewer repetitions on a noisy host would
-	// flake the CI gate. A campaign pair costs ~3 s; three pairs keep the
-	// best-of stable.
+	// measurement would not be comparable against the committed baseline,
+	// and fewer repetitions on a noisy host would flake the CI gate. A
+	// campaign pair costs ~3 s; three pairs keep the best-of stable.
 	scale, reps := 1.0, 3
-	_ = quick
 	fig3Apps, err := appsFor("all")
 	if err != nil {
 		return sweepBench{}, err

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"time"
 
 	"cmppower"
@@ -36,6 +37,33 @@ const (
 	exitDoctorScenario    = 12 // scenario IR broke baseline fidelity, identity, or 3D physics
 )
 
+// doctorChecks is the doctor's table in report order. Scripts match on
+// each check's name and exit code, and TestDoctor runs every entry under
+// go test, so the doctor and the test suite hold one implementation of
+// each check.
+var doctorChecks = []struct {
+	name string
+	fn   func() error
+	code int
+}{
+	{"simulator determinism", checkDeterminism, exitDoctorBaseline},
+	{"MESI coherence under fuzz", checkCoherence, exitDoctorBaseline},
+	{"power calibration at the design point", checkCalibration, exitDoctorBaseline},
+	{"analytic Scenario II shape", checkAnalyticShape, exitDoctorBaseline},
+	{"memory-gap effect present", checkMemoryGap, exitDoctorBaseline},
+	{"fault injector round-trip", checkFaultInjector, exitDoctorFaultInject},
+	{"DTM contains thermal emergency", checkDTMTrip, exitDoctorDTM},
+	{"context cancel stops a sweep", checkContextCancel, exitDoctorCancel},
+	{"parallel sweep matches serial", checkParallelDeterminism, exitDoctorParallel},
+	{"batched engine matches reference loop", checkBatchedEngine, exitDoctorBatched},
+	{"manifest identical across -j", checkObsDeterminism, exitDoctorObs},
+	{"serve round-trip deterministic", checkServe, exitDoctorServe},
+	{"router fleet invisible under faults", checkRouter, exitDoctorRouter},
+	{"warm-fork sweep matches cold", checkForkDeterminism, exitDoctorFork},
+	{"surrogate path exact-invisible and bound-honest", checkSurrogate, exitDoctorSurrogate},
+	{"scenario IR faithful, content-addressed, 3D-sane", checkScenario, exitDoctorScenario},
+}
+
 // runDoctor runs the repository's end-to-end self-checks: determinism,
 // coherence fuzzing, calibration, analytic sanity, and the resilience
 // layer (fault injection, DTM, cancellation). It exits non-zero on
@@ -47,58 +75,30 @@ func runDoctor(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	checks := []struct {
-		name string
-		fn   func() error
-		code int
-	}{
-		{"simulator determinism", checkDeterminism, exitDoctorBaseline},
-		{"MESI coherence under fuzz", checkCoherence, exitDoctorBaseline},
-		{"power calibration at the design point", checkCalibration, exitDoctorBaseline},
-		{"analytic Scenario II shape", checkAnalyticShape, exitDoctorBaseline},
-		{"memory-gap effect present", checkMemoryGap, exitDoctorBaseline},
-		{"fault injector round-trip", checkFaultInjector, exitDoctorFaultInject},
-		{"DTM contains thermal emergency", checkDTMTrip, exitDoctorDTM},
-		{"context cancel stops a sweep", checkContextCancel, exitDoctorCancel},
-		{"parallel sweep matches serial", checkParallelDeterminism, exitDoctorParallel},
-		{"batched engine matches reference loop", checkBatchedEngine, exitDoctorBatched},
-		{"manifest identical across -j", checkObsDeterminism, exitDoctorObs},
-		{"serve round-trip deterministic", checkServe, exitDoctorServe},
-		{"router fleet invisible under faults", checkRouter, exitDoctorRouter},
-		{"warm-fork sweep matches cold", checkForkDeterminism, exitDoctorFork},
-		{"surrogate path exact-invisible and bound-honest", checkSurrogate, exitDoctorSurrogate},
-		{"scenario IR faithful, content-addressed, 3D-sane", checkScenario, exitDoctorScenario},
-	}
 	// Every check builds its own rigs and injectors, so they fan out over
 	// the worker pool; results are collected and reported in list order.
-	failures := make([]error, len(checks))
-	if err := experiment.RunIndexed(context.Background(), *jobs, len(checks), func(i int) {
-		failures[i] = checks[i].fn()
+	failures := make([]error, len(doctorChecks))
+	if err := experiment.RunIndexed(context.Background(), *jobs, len(doctorChecks), func(i int) {
+		failures[i] = doctorChecks[i].fn()
 	}); err != nil {
 		return err
 	}
-	exit := 0
-	for i, c := range checks {
-		if err := failures[i]; err != nil {
-			fmt.Printf("FAIL %-42s %v\n", c.name, err)
-			if exit == 0 || exit == exitDoctorBaseline {
-				// The first distinct resilience code wins over the shared
-				// baseline code.
-				if c.code != exitDoctorBaseline || exit == 0 {
-					exit = c.code
-				}
-			}
-		} else {
+	exit, nfail := 0, 0
+	for i, c := range doctorChecks {
+		err := failures[i]
+		if err == nil {
 			fmt.Printf("ok   %s\n", c.name)
+			continue
+		}
+		fmt.Printf("FAIL %-42s %v\n", c.name, err)
+		nfail++
+		// The first distinct resilience code wins over the shared
+		// baseline code.
+		if exit == 0 || (exit == exitDoctorBaseline && c.code != exitDoctorBaseline) {
+			exit = c.code
 		}
 	}
 	if exit != 0 {
-		nfail := 0
-		for _, err := range failures {
-			if err != nil {
-				nfail++
-			}
-		}
 		// The code travels as an error so main's profile teardown runs.
 		return &exitError{code: exit, msg: fmt.Sprintf("%d check(s) failed", nfail)}
 	}
@@ -114,20 +114,11 @@ func runDoctor(args []string) error {
 // replay is, where the fused loop defers compute charges and every
 // interval sample must match too.
 func checkBatchedEngine() error {
-	app, err := cmppower.AppByName("FFT")
-	if err != nil {
-		return err
-	}
-	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
-	if err != nil {
-		return err
-	}
 	run := func(unbatched bool, sampleCycles float64) (*cmppower.SimResult, error) {
-		cfg := cmppower.DefaultSimConfig(4, tab.Nominal())
-		cfg.Core = app.CoreConfig()
-		cfg.Unbatched = unbatched
-		cfg.SampleCycles = sampleCycles
-		return cmppower.Simulate(app.Program(0.1), cfg)
+		return simulateFFT(0.1, func(cfg *cmppower.SimConfig) {
+			cfg.Unbatched = unbatched
+			cfg.SampleCycles = sampleCycles
+		})
 	}
 	var sampleCycles float64
 	for _, mode := range []string{"unsampled", "sampled"} {
@@ -152,59 +143,112 @@ func checkBatchedEngine() error {
 	return nil
 }
 
-// checkObsDeterminism runs the same faulty sweep with metrics enabled at
-// worker counts 1, 4, and 16 and requires the resulting run manifests to
-// agree byte for byte on their canonical half: the observability layer's
-// determinism guarantee (integer-only concurrent publishes, volatile
-// wall-clock values excluded from the digest). Extends check 9 from sweep
-// outcomes to the metric snapshot itself.
+// simulateFFT simulates FFT at the given scale on 4 cores at the 65 nm
+// nominal point, after tune (if non-nil) adjusts the config: the run that
+// checks 1 and 10 repeat and compare.
+func simulateFFT(scale float64, tune func(*cmppower.SimConfig)) (*cmppower.SimResult, error) {
+	app, err := cmppower.AppByName("FFT")
+	if err != nil {
+		return nil, err
+	}
+	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
+	if err != nil {
+		return nil, err
+	}
+	cfg := cmppower.DefaultSimConfig(4, tab.Nominal())
+	cfg.Core = app.CoreConfig()
+	if tune != nil {
+		tune(&cfg)
+	}
+	return cmppower.Simulate(app.Program(scale), cfg)
+}
+
+// sweepApps are the applications of the sweep checks 9, 11 and 14 share.
+const sweepApps = "FFT,LU,Radix"
+
+// sweepRig returns a fresh rig for the sweep checks 9, 11 and 14 share:
+// seed 11 at the given scale and, when faulty, an injector seeded 11.
+// Without DTM a sweep never reads a sensor or requests a DVFS transition,
+// so only the cache ECC faults draw from the injector's streams during
+// the sweep; they are what make a fault-stream mix-up between work
+// items visible.
+func sweepRig(scale float64, faulty bool) (*experiment.Rig, error) {
+	rig, err := experiment.NewRig(scale)
+	if err != nil {
+		return nil, err
+	}
+	rig.Seed = 11
+	if faulty {
+		rig.Faults, err = cmppower.NewFaultInjector(cmppower.FaultConfig{
+			Seed: 11, SensorNoiseSigmaC: 1.5, DVFSFailProb: 0.05, CacheTransientProb: 0.002,
+		})
+	}
+	return rig, err
+}
+
+// sweep runs Scenario I, or II, of the named apps over N ∈ {1, 2, 4} on
+// rig with the default retry policy.
+func sweep(rig *experiment.Rig, apps string, scenarioII bool, cfg cmppower.SweepConfig) ([]cmppower.SweepOutcome, error) {
+	list, err := appsFor(apps)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Retry = cmppower.DefaultRetryConfig()
+	counts := []int{1, 2, 4}
+	if scenarioII {
+		return rig.SweepScenarioIIWith(context.Background(), list, counts, cfg)
+	}
+	return rig.SweepScenarioIWith(context.Background(), list, counts, cfg)
+}
+
+// checkObsDeterminism runs the same sweep with metrics enabled at worker
+// counts 1, 4, and 16, fault-free and under faults, and requires the
+// resulting run manifests to agree byte for byte on their canonical half:
+// the observability layer's determinism guarantee (integer-only
+// concurrent publishes, volatile wall-clock values excluded from the
+// digest). Extends check 9 from sweep outcomes to the metric snapshot
+// itself.
 func checkObsDeterminism() error {
-	manifest := func(workers int) ([]byte, error) {
-		rig, err := experiment.NewRig(0.1)
+	manifest := func(faulty bool, workers int) ([]byte, error) {
+		rig, err := sweepRig(0.1, faulty)
 		if err != nil {
-			return nil, err
-		}
-		rig.Seed = 11
-		if rig.Faults, err = cmppower.NewFaultInjector(cmppower.FaultConfig{
-			Seed: 11, SensorNoiseSigmaC: 1.5, DVFSFailProb: 0.05,
-		}); err != nil {
 			return nil, err
 		}
 		reg := cmppower.NewMetricsRegistry()
 		rig.Obs = reg
-		apps, err := appsFor("FFT,LU,Radix")
-		if err != nil {
-			return nil, err
-		}
-		outs, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-			cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: workers})
+		outs, err := sweep(rig, sweepApps, false, cmppower.SweepConfig{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
 		var modeled float64
 		for _, o := range outs {
-			if o.Err == nil {
+			switch {
+			case o.Err == nil:
 				modeled += o.I.ModeledSeconds()
+			case !faulty:
+				return nil, fmt.Errorf("fault-free sweep failed %s: %w", o.App, o.Err)
 			}
 		}
 		m := cmppower.NewRunManifest("doctor", reg)
-		m.Config = map[string]string{"apps": "FFT,LU,Radix", "counts": "1,2,4"}
+		m.Config = map[string]string{"apps": sweepApps, "counts": "1,2,4"}
 		m.Seed = rig.Seed
 		m.ModeledSeconds = modeled
 		m.SetVolatile(reg, 0, workers)
 		return m.CanonicalBytes()
 	}
-	ref, err := manifest(1)
-	if err != nil {
-		return err
-	}
-	for _, workers := range []int{4, 16} {
-		got, err := manifest(workers)
+	for _, faulty := range []bool{false, true} {
+		ref, err := manifest(faulty, 1)
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(ref, got) {
-			return fmt.Errorf("manifest canonical bytes differ between -j 1 and -j %d", workers)
+		for _, workers := range []int{4, 16} {
+			got, err := manifest(faulty, workers)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(ref, got) {
+				return fmt.Errorf("faulty=%t: manifest canonical bytes differ between -j 1 and -j %d", faulty, workers)
+			}
 		}
 	}
 	return nil
@@ -214,33 +258,17 @@ func checkObsDeterminism() error {
 // worker pool and requires bit-identical outcomes: the parallel engine's
 // central guarantee.
 func checkParallelDeterminism() error {
-	sweep := func(workers int) ([]cmppower.SweepOutcome, error) {
-		rig, err := experiment.NewRig(0.1)
+	var outs [2][]cmppower.SweepOutcome
+	for i, workers := range []int{1, 4} {
+		rig, err := sweepRig(0.1, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rig.Seed = 11
-		if rig.Faults, err = cmppower.NewFaultInjector(cmppower.FaultConfig{
-			Seed: 11, SensorNoiseSigmaC: 1.5, DVFSFailProb: 0.05,
-		}); err != nil {
-			return nil, err
+		if outs[i], err = sweep(rig, sweepApps, false, cmppower.SweepConfig{Workers: workers}); err != nil {
+			return err
 		}
-		apps, err := appsFor("FFT,LU,Radix")
-		if err != nil {
-			return nil, err
-		}
-		return rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-			cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: workers})
 	}
-	serial, err := sweep(1)
-	if err != nil {
-		return err
-	}
-	parallel, err := sweep(4)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(serial, parallel) {
+	if !reflect.DeepEqual(outs[0], outs[1]) {
 		return fmt.Errorf("sweep outcomes differ between -j 1 and -j 4")
 	}
 	return nil
@@ -248,54 +276,50 @@ func checkParallelDeterminism() error {
 
 // checkForkDeterminism is check 14: a sweep that warm-starts runs by
 // forking recorded neighbor checkpoints must be byte-identical to one
-// that cold-starts every run, at -j 1, 4 and 16 — and under an active
-// fault spec the forking machinery must bypass itself entirely (zero
-// cache traffic) rather than replay streams the injector never saw.
+// that cold-starts every run, at -j 1, 4 and 16, in both scenarios and
+// with Ocean added to the sweep's apps. It runs at scale 0.15: at 0.1 no
+// Scenario II row at N ≤ 4 exceeds the power budget, so that scenario
+// would never fork. A cold sweep must not touch the fork cache, and under
+// an active fault spec the forking machinery must bypass itself entirely
+// (zero cache traffic) rather than replay streams the injector never saw.
 func checkForkDeterminism() error {
-	apps, err := appsFor("FFT,LU,Radix")
-	if err != nil {
-		return err
-	}
-	sweep := func(workers int, noFork, faulty bool) ([]cmppower.SweepOutcome, cmppower.ForkStats, error) {
-		rig, err := experiment.NewRig(0.1)
+	run := func(apps string, scenarioII, faulty bool, workers int, noFork bool) ([]cmppower.SweepOutcome, cmppower.ForkStats, error) {
+		rig, err := sweepRig(0.15, faulty)
 		if err != nil {
 			return nil, cmppower.ForkStats{}, err
 		}
-		rig.Seed = 11
-		if faulty {
-			if rig.Faults, err = cmppower.NewFaultInjector(cmppower.FaultConfig{
-				Seed: 11, SensorNoiseSigmaC: 1.5, DVFSFailProb: 0.05,
-			}); err != nil {
-				return nil, cmppower.ForkStats{}, err
-			}
-		}
-		outs, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-			cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: workers, NoFork: noFork})
+		outs, err := sweep(rig, apps, scenarioII, cmppower.SweepConfig{Workers: workers, NoFork: noFork})
 		return outs, rig.ForkStats(), err
 	}
-	cold, _, err := sweep(1, true, false)
-	if err != nil {
-		return err
-	}
-	for _, j := range []int{1, 4, 16} {
-		warm, st, err := sweep(j, false, false)
+	for _, scenarioII := range []bool{false, true} {
+		cold, st, err := run(sweepApps+",Ocean", scenarioII, false, 1, true)
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(cold, warm) {
-			return fmt.Errorf("forking sweep at -j %d differs from cold sweep", j)
+		if st.Hits != 0 || st.Misses != 0 {
+			return fmt.Errorf("scenarioII=%t: cold sweep touched the fork cache: %+v", scenarioII, st)
 		}
-		if st.Hits == 0 || st.Records == 0 {
-			return fmt.Errorf("forking sweep at -j %d never forked (hits=%d records=%d)", j, st.Hits, st.Records)
+		for _, j := range []int{1, 4, 16} {
+			warm, st, err := run(sweepApps+",Ocean", scenarioII, false, j, false)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				return fmt.Errorf("scenarioII=%t: forking sweep at -j %d differs from cold sweep", scenarioII, j)
+			}
+			if st.Hits == 0 || st.Records == 0 {
+				return fmt.Errorf("scenarioII=%t: forking sweep at -j %d never forked (hits=%d records=%d)",
+					scenarioII, j, st.Hits, st.Records)
+			}
 		}
 	}
 	// Under active injection: identical results to a faulty cold sweep AND
 	// zero fork-cache traffic.
-	faultyCold, _, err := sweep(1, true, true)
+	faultyCold, _, err := run(sweepApps, false, true, 1, true)
 	if err != nil {
 		return err
 	}
-	faultyWarm, st, err := sweep(1, false, true)
+	faultyWarm, st, err := run(sweepApps, false, true, 1, false)
 	if err != nil {
 		return err
 	}
@@ -342,7 +366,10 @@ func checkFaultInjector() error {
 	if a.Digest() != b.Digest() {
 		return fmt.Errorf("same seed produced different fault schedules")
 	}
-	if a.Digest() == c.Digest() {
+	// A digest's first line names the seed, so compare what follows it.
+	_, schedA, _ := strings.Cut(a.Digest(), "\n")
+	_, schedC, _ := strings.Cut(c.Digest(), "\n")
+	if schedA == schedC {
 		return fmt.Errorf("different seeds produced identical fault schedules")
 	}
 	// Zero-rate injector: fault-free results bit for bit.
@@ -412,8 +439,9 @@ func checkDTMTrip() error {
 	return nil
 }
 
-// checkContextCancel verifies a cancelled context aborts a sweep promptly
-// with the cancellation surfaced.
+// checkContextCancel verifies a cancelled context aborts a run within a
+// second, surfaced as a *RunError at the simulate step, and aborts a
+// scenario too.
 func checkContextCancel() error {
 	rig, err := experiment.NewRig(0.15)
 	if err != nil {
@@ -431,10 +459,10 @@ func checkContextCancel() error {
 		return fmt.Errorf("cancelled run returned %v, want context.Canceled in the chain", err)
 	}
 	var re *cmppower.RunError
-	if !errors.As(err, &re) {
-		return fmt.Errorf("cancellation not wrapped in *RunError: %v", err)
+	if !errors.As(err, &re) || re.Step != "simulate" {
+		return fmt.Errorf("cancellation not wrapped in *RunError at the simulate step: %v", err)
 	}
-	if el := time.Since(start); el > 2*time.Second {
+	if el := time.Since(start); el > time.Second {
 		return fmt.Errorf("cancellation took %v", el)
 	}
 	if _, err := rig.ScenarioICtx(ctx, app, []int{1, 2}); !errors.Is(err, context.Canceled) {
@@ -444,21 +472,11 @@ func checkContextCancel() error {
 }
 
 func checkDeterminism() error {
-	app, err := cmppower.AppByName("FFT")
+	a, err := simulateFFT(0.2, nil)
 	if err != nil {
 		return err
 	}
-	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
-	if err != nil {
-		return err
-	}
-	cfg := cmppower.DefaultSimConfig(4, tab.Nominal())
-	cfg.Core = app.CoreConfig()
-	a, err := cmppower.Simulate(app.Program(0.2), cfg)
-	if err != nil {
-		return err
-	}
-	b, err := cmppower.Simulate(app.Program(0.2), cfg)
+	b, err := simulateFFT(0.2, nil)
 	if err != nil {
 		return err
 	}
@@ -496,6 +514,11 @@ func checkCoherence() error {
 	return nil
 }
 
+// checkCalibration evaluates the max-power microbenchmark on the
+// calibrated 16-core rig, which should put the die close to the 100 °C
+// design temperature. Not exactly: Evaluate adds the temperature-coupled
+// static power on top of the calibration's linear split, and gate
+// residuals heat other blocks slightly.
 func checkCalibration() error {
 	rig, err := experiment.NewRig(0.1)
 	if err != nil {

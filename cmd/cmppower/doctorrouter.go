@@ -2,12 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -16,7 +11,6 @@ import (
 	"cmppower/internal/identity"
 	"cmppower/internal/router"
 	"cmppower/internal/server"
-	"cmppower/internal/splash"
 )
 
 // checkRouter is doctor check 13: the fleet front tier must be
@@ -40,19 +34,10 @@ func checkRouter() error {
 	if err != nil {
 		return err
 	}
-	rig.Seed = 1
 	probes := []routerProbe{{app: "FFT", n: 2}, {app: "LU", n: 4}, {app: "Radix", n: 2}}
 	for i := range probes {
 		p := &probes[i]
-		app, err := splash.ByName(p.app)
-		if err != nil {
-			return err
-		}
-		m, err := rig.RunAppSeeded(context.Background(), app, p.n, rig.Table.Nominal(), 1)
-		if err != nil {
-			return err
-		}
-		if p.want, err = json.Marshal(&server.RunResponse{Measurement: m}); err != nil {
+		if p.want, err = libraryRun(rig, p.app, p.n); err != nil {
 			return err
 		}
 		p.body = fmt.Sprintf(`{"app":%q,"n":%d,"scale":%g,"seed":1}`, p.app, p.n, scale)
@@ -91,39 +76,16 @@ func routerFleetConfig(shards int) router.Config {
 	}
 }
 
-// withRouter boots an ephemeral fleet, runs fn against its base URL,
-// and shuts the fleet down in order.
-func withRouter(cfg router.Config, fn func(base string, rt *router.Router) error) (err error) {
-	rt, err := router.New(cfg)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rt.Shutdown(context.Background())
-		return err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if sErr := rt.Shutdown(ctx); sErr != nil && err == nil {
-			err = sErr
-		}
-		if sErr := <-serveErr; sErr != nil && err == nil {
-			err = sErr
-		}
-	}()
-	return fn("http://"+ln.Addr().String(), rt)
-}
-
 // checkRouterByteIdentity: phase 1.
 func checkRouterByteIdentity(probes []routerProbe) error {
 	for _, shards := range []int{1, 2, 4} {
-		err := withRouter(routerFleetConfig(shards), func(base string, _ *router.Router) error {
+		rt, err := router.New(routerFleetConfig(shards))
+		if err != nil {
+			return err
+		}
+		err = serveOn(rt, func(base string) error {
 			for _, p := range probes {
-				got, err := doctorPost(base+"/v1/run", p.body)
+				got, err := doctorFetch(base+"/v1/run", p.body)
 				if err != nil {
 					return fmt.Errorf("%d shards, %s: %w", shards, p.app, err)
 				}
@@ -150,11 +112,15 @@ func checkRouterKillSurvival(probes []routerProbe) error {
 	}
 	cfg := routerFleetConfig(3)
 	cfg.Chaos = chaos
-	return withRouter(cfg, func(base string, _ *router.Router) error {
+	rt, err := router.New(cfg)
+	if err != nil {
+		return err
+	}
+	return serveOn(rt, func(base string) error {
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
 			for _, p := range probes {
-				got, err := doctorPost(base+"/v1/run", p.body)
+				got, err := doctorFetch(base+"/v1/run", p.body)
 				if err != nil {
 					return fmt.Errorf("%s during kills: %w", p.app, err)
 				}
@@ -163,7 +129,7 @@ func checkRouterKillSurvival(probes []routerProbe) error {
 				}
 			}
 		}
-		text, err := doctorGet(base + "/metrics")
+		text, err := doctorFetch(base+"/metrics", "")
 		if err != nil {
 			return err
 		}
@@ -198,10 +164,14 @@ func checkRouterHedging(p routerProbe) error {
 	cfg.Chaos = chaos
 	cfg.HedgeMin = 25 * time.Millisecond
 	cfg.HedgeMax = 100 * time.Millisecond
-	return withRouter(cfg, func(base string, _ *router.Router) error {
+	rt, err := router.New(cfg)
+	if err != nil {
+		return err
+	}
+	return serveOn(rt, func(base string) error {
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			got, err := doctorPost(base+"/v1/run", p.body)
+			got, err := doctorFetch(base+"/v1/run", p.body)
 			elapsed := time.Since(start)
 			if err != nil {
 				return err
@@ -213,7 +183,7 @@ func checkRouterHedging(p routerProbe) error {
 				return fmt.Errorf("request %d took %v under a 20s stall; hedge did not bound the tail", i, elapsed)
 			}
 		}
-		text, err := doctorGet(base + "/metrics")
+		text, err := doctorFetch(base+"/metrics", "")
 		if err != nil {
 			return err
 		}
@@ -227,29 +197,12 @@ func checkRouterHedging(p routerProbe) error {
 	})
 }
 
-// doctorGet fetches one URL and returns the 200 body as text.
-func doctorGet(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return string(b), nil
-}
-
 // metricFamilyTotal sums every sample of a metric family in a
 // Prometheus text exposition, folding labeled series
 // (`family{shard="2"} 3`) into one total.
-func metricFamilyTotal(text, family string) float64 {
+func metricFamilyTotal(text []byte, family string) float64 {
 	var total float64
-	for _, line := range strings.Split(text, "\n") {
+	for _, line := range strings.Split(string(text), "\n") {
 		if !strings.HasPrefix(line, family) {
 			continue
 		}

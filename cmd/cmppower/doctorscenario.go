@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 
@@ -13,8 +12,10 @@ import (
 // checkScenario is doctor check 16: the scenario IR's three contracts.
 //
 //  1. Baseline fidelity: a rig built from the baseline scenario document
-//     measures bit-identically to the legacy flag-era rig, and a
-//     scenario sweep is bit-identical across worker counts.
+//     keeps the legacy cache identity (an empty digest) and the baseline
+//     name, calibrates and measures bit-identically to the legacy
+//     flag-era rig, and a scenario sweep is bit-identical across worker
+//     counts.
 //  2. Identity: the content digest is deterministic, blind to syntactic
 //     variants (a fully-spelled-out document and a defaulted one hash
 //     equal), sees through the name for cache identity (IsBaseline),
@@ -32,47 +33,48 @@ func checkScenario() error {
 	if err != nil {
 		return err
 	}
-	app, err := cmppower.AppByName("FFT")
+	if d := fromScenario.ScenarioDigest(); d != "" {
+		return fmt.Errorf("baseline scenario digest %q, want empty (legacy cache identity)", d)
+	}
+	if name := fromScenario.ScenarioName(); name != "baseline-2005" {
+		return fmt.Errorf("baseline scenario named %q", name)
+	}
+	if *fromScenario.Cal != *legacy.Cal {
+		return fmt.Errorf("baseline scenario calibration differs: %+v vs %+v", fromScenario.Cal, legacy.Cal)
+	}
+	apps, err := appsFor("FFT,FMM")
 	if err != nil {
 		return err
 	}
-	want, err := legacy.RunApp(app, 4, legacy.Table.Nominal())
-	if err != nil {
-		return err
-	}
-	got, err := fromScenario.RunApp(app, 4, fromScenario.Table.Nominal())
-	if err != nil {
-		return err
-	}
-	if *want != *got {
-		return fmt.Errorf("baseline scenario rig diverged from legacy rig: %+v vs %+v", got, want)
+	for _, app := range apps {
+		want, err := legacy.RunApp(app, 4, legacy.Table.Nominal())
+		if err != nil {
+			return err
+		}
+		got, err := fromScenario.RunApp(app, 4, fromScenario.Table.Nominal())
+		if err != nil {
+			return err
+		}
+		if *want != *got {
+			return fmt.Errorf("%s: baseline scenario rig diverged from legacy rig: %+v vs %+v", app.Name, got, want)
+		}
 	}
 
 	// Scenario sweeps are deterministic across -j, like everything else.
-	sweep := func(workers int) ([]cmppower.SweepOutcome, error) {
+	var outs [2][]cmppower.SweepOutcome
+	for i, workers := range []int{1, 4} {
 		sc := scenario.Baseline()
 		sc.Name = "doctor-90nm"
 		sc.Node = "90nm"
 		rig, err := experiment.NewRigFromScenario(sc, 0.05)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		apps, err := appsFor("FFT,LU")
-		if err != nil {
-			return nil, err
+		if outs[i], err = sweep(rig, "FFT,LU", false, cmppower.SweepConfig{Workers: workers}); err != nil {
+			return err
 		}
-		return rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-			cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: workers})
 	}
-	serial, err := sweep(1)
-	if err != nil {
-		return err
-	}
-	parallel, err := sweep(4)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(serial, parallel) {
+	if !reflect.DeepEqual(outs[0], outs[1]) {
 		return fmt.Errorf("scenario sweep outcomes differ between -j 1 and -j 4")
 	}
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"cmppower"
 	"cmppower/internal/experiment"
 	"cmppower/internal/server"
 )
@@ -30,24 +31,11 @@ func checkServe() error {
 		return err
 	}
 	rig.Seed = 1
-	app, err := appsFor("FFT")
+	wantRun, err := libraryRun(rig, "FFT", 4)
 	if err != nil {
 		return err
 	}
-	m, err := rig.RunAppSeeded(context.Background(), app[0], 4, rig.Table.Nominal(), 1)
-	if err != nil {
-		return err
-	}
-	wantRun, err := json.Marshal(&server.RunResponse{Measurement: m})
-	if err != nil {
-		return err
-	}
-	sweepApps, err := appsFor("FFT,LU")
-	if err != nil {
-		return err
-	}
-	outs, err := rig.SweepScenarioIWith(context.Background(), sweepApps, []int{1, 2, 4},
-		experiment.SweepConfig{Retry: experiment.DefaultRetryConfig(), Workers: 1})
+	outs, err := sweep(rig, "FFT,LU", false, cmppower.SweepConfig{Workers: 1})
 	if err != nil {
 		return err
 	}
@@ -56,57 +44,84 @@ func checkServe() error {
 		return err
 	}
 
-	runBody := fmt.Sprintf(`{"app":"FFT","n":4,"scale":%g,"seed":1}`, scale)
-	sweepBody := fmt.Sprintf(`{"scenario":"I","apps":["FFT","LU"],"core_counts":[1,2,4],"scale":%g}`, scale)
-
+	probes := []struct {
+		path, body string
+		want       []byte
+	}{
+		{"/v1/run", fmt.Sprintf(`{"app":"FFT","n":4,"scale":%g,"seed":1}`, scale), wantRun},
+		{"/v1/sweep", fmt.Sprintf(`{"scenario":"I","apps":["FFT","LU"],"core_counts":[1,2,4],"scale":%g}`, scale), wantSweep},
+	}
 	for _, workers := range []int{1, 4, 16} {
-		gotRun, gotSweep, err := serveOnce(workers, runBody, sweepBody)
+		err := serveOn(server.New(server.Config{Workers: workers}), func(base string) error {
+			for _, p := range probes {
+				got, err := doctorFetch(base+p.path, p.body)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(got, p.want) {
+					return fmt.Errorf("%s body differs from the direct library result", p.path)
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return fmt.Errorf("-j %d: %w", workers, err)
-		}
-		if !bytes.Equal(gotRun, wantRun) {
-			return fmt.Errorf("-j %d: /v1/run body differs from the direct library result", workers)
-		}
-		if !bytes.Equal(gotSweep, wantSweep) {
-			return fmt.Errorf("-j %d: /v1/sweep body differs from the direct library result", workers)
 		}
 	}
 	return nil
 }
 
-// serveOnce boots one ephemeral server, performs the two posts, and
-// shuts it down cleanly.
-func serveOnce(workers int, runBody, sweepBody string) (gotRun, gotSweep []byte, err error) {
-	srv := server.New(server.Config{Workers: workers})
+// libraryRun returns the /v1/run body the serving layers must reproduce:
+// the direct library measurement of app on n cores at the nominal point
+// with seed 1, marshaled.
+func libraryRun(rig *experiment.Rig, app string, n int) ([]byte, error) {
+	a, err := cmppower.AppByName(app)
+	if err != nil {
+		return nil, err
+	}
+	m, err := rig.RunAppSeeded(context.Background(), a, n, rig.Table.Nominal(), 1)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(&server.RunResponse{Measurement: m})
+}
+
+// serveOn serves s (a server or a router) on a loopback port, runs fn
+// against its base URL, and shuts s down cleanly.
+func serveOn(s interface {
+	Serve(net.Listener) error
+	Shutdown(context.Context) error
+}, fn func(base string) error) (err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, err
+		_ = s.Shutdown(context.Background()) // the listen error is the one to report
+		return err
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	go func() { serveErr <- s.Serve(ln) }()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if sErr := srv.Shutdown(ctx); sErr != nil && err == nil {
+		if sErr := s.Shutdown(ctx); sErr != nil && err == nil {
 			err = sErr
 		}
 		if sErr := <-serveErr; sErr != nil && err == nil {
 			err = sErr
 		}
 	}()
-	base := "http://" + ln.Addr().String()
-	if gotRun, err = doctorPost(base+"/v1/run", runBody); err != nil {
-		return nil, nil, err
-	}
-	if gotSweep, err = doctorPost(base+"/v1/sweep", sweepBody); err != nil {
-		return nil, nil, err
-	}
-	return gotRun, gotSweep, nil
+	return fn("http://" + ln.Addr().String())
 }
 
-// doctorPost posts one JSON body and returns the 200 response body.
-func doctorPost(url, body string) ([]byte, error) {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+// doctorFetch GETs url, or POSTs body to it as JSON when body is not
+// empty, and returns the 200 response body.
+func doctorFetch(url, body string) ([]byte, error) {
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", strings.NewReader(body))
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
-	"time"
 
 	"cmppower/internal/experiment"
 	"cmppower/internal/server"
@@ -31,10 +29,10 @@ func checkSurrogate() error {
 	for _, workers := range []int{1, 4, 16} {
 		for _, off := range []bool{false, true} {
 			var got []byte
-			err := withEphemeralServer(server.Config{Workers: workers, SurrogateOff: off},
+			err := serveOn(server.New(server.Config{Workers: workers, SurrogateOff: off}),
 				func(base string) error {
 					var err error
-					got, err = doctorPost(base+"/v1/run", exactBody)
+					got, err = doctorFetch(base+"/v1/run", exactBody)
 					return err
 				})
 			if err != nil {
@@ -53,19 +51,19 @@ func checkSurrogate() error {
 	// Surrogate-mode honesty: warm a fit over HTTP, query it, replay the
 	// simulation, and hold the response to its advertised bound.
 	var sr server.SurrogateRunResponse
-	err := withEphemeralServer(server.Config{Workers: 4}, func(base string) error {
+	err := serveOn(server.New(server.Config{Workers: 4}), func(base string) error {
 		for _, n := range []int{1, 2, 4, 8} {
 			for _, mhz := range []float64{3200, 2400, 1760} {
 				for seed := 1; seed <= 2; seed++ {
 					body := fmt.Sprintf(`{"app":"FFT","n":%d,"scale":%g,"seed":%d,"freq_mhz":%g}`,
 						n, scale, seed, mhz)
-					if _, err := doctorPost(base+"/v1/run", body); err != nil {
+					if _, err := doctorFetch(base+"/v1/run", body); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		got, err := doctorPost(base+"/v1/run",
+		got, err := doctorFetch(base+"/v1/run",
 			fmt.Sprintf(`{"app":"FFT","n":4,"scale":%g,"seed":33,"freq_mhz":2400,"mode":"surrogate"}`, scale))
 		if err != nil {
 			return err
@@ -100,27 +98,4 @@ func checkSurrogate() error {
 			sr.Bound, errT, errP)
 	}
 	return nil
-}
-
-// withEphemeralServer boots a server on a loopback port, runs fn against
-// its base URL, and shuts it down cleanly.
-func withEphemeralServer(cfg server.Config, fn func(base string) error) (err error) {
-	srv := server.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if sErr := srv.Shutdown(ctx); sErr != nil && err == nil {
-			err = sErr
-		}
-		if sErr := <-serveErr; sErr != nil && err == nil {
-			err = sErr
-		}
-	}()
-	return fn("http://" + ln.Addr().String())
 }

@@ -236,13 +236,17 @@ Commands:
            coefficients, confidence regions, and error bounds as
            deterministic JSON (digest pinned by the golden test)
   doctor   End-to-end self-checks (determinism, coherence, calibration,
-           fault injection, DTM, cancellation, parallel-sweep determinism,
+           analytic Scenario II shape, memory-gap effect, fault
+           injection, DTM, cancellation, parallel-sweep determinism,
            batched-engine equivalence, manifest determinism, serve
-           round-trip; distinct exit codes per resilience failure:
+           round-trip, router fleet, warm-fork, surrogate and scenario
+           IR; 'go test ./cmd/cmppower' runs the same checks). Exit 1
+           when only baseline checks fail, else the first failing
+           resilience check's code:
            2=injector, 3=DTM, 4=cancellation, 5=parallel-divergence,
            6=batched-engine-divergence, 7=manifest-divergence,
            8=serve-divergence, 9=router-divergence, 10=fork-divergence,
-           11=surrogate-divergence, 12=scenario-divergence)
+           11=surrogate-divergence, 12=scenario-divergence
   cachesweep  L1 capacity sensitivity across core counts
   bench    Performance benchmarks (engine events/sec, thermal solves/sec,
            end-to-end fig3 time) as BENCH JSON for the regression gate;

@@ -7,46 +7,6 @@ import (
 	"testing"
 )
 
-// TestForkSweepMatchesNoFork is the warm-fork correctness contract at the
-// sweep layer: a sweep that forks from recorded neighbor checkpoints is
-// bit-identical to one that cold-starts every run, at every worker count,
-// for both scenarios. This is the in-process twin of doctor check 14.
-func TestForkSweepMatchesNoFork(t *testing.T) {
-	apps := testApps(t)
-	counts := []int{1, 2, 4}
-	for _, scenarioII := range []bool{false, true} {
-		run := func(workers int, noFork bool) ([]SweepOutcome, ForkStats) {
-			rig := testRig(t)
-			cfg := SweepConfig{Workers: workers, NoFork: noFork}
-			var outs []SweepOutcome
-			var err error
-			if scenarioII {
-				outs, err = rig.SweepScenarioIIWith(context.Background(), apps, counts, cfg)
-			} else {
-				outs, err = rig.SweepScenarioIWith(context.Background(), apps, counts, cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return outs, rig.ForkStats()
-		}
-		cold, coldStats := run(1, true)
-		if coldStats.Hits != 0 || coldStats.Misses != 0 {
-			t.Fatalf("NoFork sweep touched the fork cache: %+v", coldStats)
-		}
-		for _, j := range []int{1, 4, 16} {
-			warm, st := run(j, false)
-			outcomesEqual(t, cold, warm)
-			if st.Hits == 0 {
-				t.Errorf("scenarioII=%v workers=%d: forking sweep never forked: %+v", scenarioII, j, st)
-			}
-			if st.Records == 0 {
-				t.Errorf("scenarioII=%v workers=%d: no checkpoints recorded: %+v", scenarioII, j, st)
-			}
-		}
-	}
-}
-
 // TestForkDisabledUnderActiveFaults: runs under active injection advance
 // the injector streams and are not pure functions of their key, so the
 // fork cache must see zero traffic — no records, no replays.

@@ -1,58 +1,12 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"cmppower/internal/obs"
 	"cmppower/internal/splash"
 )
-
-// sweepManifest runs a Scenario I sweep with a fresh registry at the given
-// worker count and returns the canonical manifest bytes — the exact bytes
-// doctor check 11 and the `-manifest` CLI flag produce.
-func sweepManifest(t *testing.T, workers int) []byte {
-	t.Helper()
-	rig := testRig(t)
-	rig.Obs = obs.NewRegistry()
-	apps := []splash.App{app(t, "FFT"), app(t, "LU"), app(t, "Radix")}
-	outcomes, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-		SweepConfig{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var modeled float64
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.App, o.Err)
-		}
-		modeled += o.I.ModeledSeconds()
-	}
-	m := obs.NewManifest("fig3", rig.Obs)
-	m.Config = map[string]string{"apps": "FFT,LU,Radix", "counts": "1,2,4"}
-	m.Seed = rig.Seed
-	m.ModeledSeconds = modeled
-	m.SetVolatile(rig.Obs, 0.1, workers)
-	b, err := m.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestManifestIdenticalAcrossWorkers is ISSUE 4's satellite 4: a parallel
-// sweep with metrics enabled must produce byte-identical canonical
-// manifests at -j 1, 4 and 16. Under -race (make check runs the suite with
-// it) this also proves the shared registry is race-free.
-func TestManifestIdenticalAcrossWorkers(t *testing.T) {
-	want := sweepManifest(t, 1)
-	for _, workers := range []int{4, 16} {
-		if got := sweepManifest(t, workers); !bytes.Equal(got, want) {
-			t.Errorf("manifest at %d workers differs from serial:\n%s\nvs\n%s", workers, got, want)
-		}
-	}
-}
 
 // TestSweepPublishesMetrics sanity-checks that the registry actually saw
 // the sweep: engine runs, memo traffic, and the volatile pool gauges.

@@ -40,41 +40,6 @@ func scenApp(t *testing.T, name string) splash.App {
 	return a
 }
 
-// The baseline scenario must reproduce the flag-era apparatus bit for
-// bit: same calibration, same measurement, empty cache digest.
-func TestScenarioBaselineBitIdentical(t *testing.T) {
-	legacy, err := NewRig(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig, err := NewRigFromScenario(scenario.Baseline(), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rig.ScenarioDigest() != "" {
-		t.Errorf("baseline scenario digest = %q, want empty (legacy cache identity)", rig.ScenarioDigest())
-	}
-	if rig.ScenarioName() != "baseline-2005" {
-		t.Errorf("scenario name = %q", rig.ScenarioName())
-	}
-	if *rig.Cal != *legacy.Cal {
-		t.Errorf("calibration differs: %+v vs %+v", rig.Cal, legacy.Cal)
-	}
-	ap := scenApp(t, "FMM")
-	p := legacy.Table.Nominal()
-	want, err := legacy.RunApp(ap, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rig.RunApp(ap, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("baseline scenario measurement differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // Different scenarios must never share a memo entry: the digest is part
 // of the key, so a 90nm chip's cached run cannot answer a 65nm request.
 func TestScenarioDigestPreventsMemoCollision(t *testing.T) {

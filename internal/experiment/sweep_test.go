@@ -136,24 +136,6 @@ func TestSweepStopsOnCancelledContext(t *testing.T) {
 	}
 }
 
-func TestRunAppCtxCancellationAbortsSimulation(t *testing.T) {
-	rig := testRig(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, err := rig.RunAppCtx(ctx, app(t, "Ocean"), 4, rig.Table.Nominal())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled in the chain, got %v", err)
-	}
-	var re *RunError
-	if !errors.As(err, &re) || re.Step != "simulate" {
-		t.Fatalf("want *RunError at the simulate step, got %v", err)
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Errorf("cancellation took %v", el)
-	}
-}
-
 func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
 	plain := testRig(t)
 	wired := testRig(t)

@@ -236,27 +236,6 @@ func TestCalibrateSetsRenormAndBudget(t *testing.T) {
 	}
 }
 
-func TestCalibratedMicrobenchmarkHitsDesignTemp(t *testing.T) {
-	// After calibration, evaluating the max-power microbenchmark should put
-	// the die close to the design temperature (not exact: Evaluate adds the
-	// temperature-coupled static power on top of the calibration's linear
-	// split, and gate residuals heat other blocks slightly).
-	r := newRig(t, 16)
-	if _, err := r.meter.Calibrate(r.fp, r.tm, r.tab.Nominal()); err != nil {
-		t.Fatal(err)
-	}
-	op := r.tab.Nominal()
-	const cycles = 1 << 18
-	act := MaxActivity(16, 1, cycles)
-	res, err := r.meter.Evaluate(r.fp, r.tm, act, float64(cycles)/op.Freq, cycles, op, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakTempC < 80 || res.PeakTempC > 120 {
-		t.Errorf("calibrated microbenchmark peak %g °C, want near %g", res.PeakTempC, phys.MaxDieTempC)
-	}
-}
-
 func TestEvaluateBreakdownConsistency(t *testing.T) {
 	r := newRig(t, 16)
 	if _, err := r.meter.Calibrate(r.fp, r.tm, r.tab.Nominal()); err != nil {

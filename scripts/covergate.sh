@@ -9,8 +9,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Total statement coverage measured when this gate was introduced.
-BASELINE=70.3
+# Total statement coverage, last raised when go test began running the
+# doctor's checks (71.0% before, 75.7% after).
+BASELINE=75.7
 # Allowed slack below the baseline, in percentage points.
 SLACK=2.0
 
