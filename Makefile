@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/scenario -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/router -run='^$$' -fuzz=FuzzNormalizeKey -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzHierarchyCoherence -fuzztime=$(FUZZTIME)
 
 # Rewrite the CLI golden files after a deliberate output change; review
 # the testdata/golden diff before committing.

@@ -75,17 +75,16 @@ func (g Geometry) Sets() int { return g.SizeBytes / g.LineBytes / g.Ways }
 // per line on the timestamp or a store per hit on refreshing it.
 
 // Array is one set-associative cache array with MESI line states and true
-// LRU replacement. The arrays of a bank share one set-interleaved backing
-// store (see newBank); standalone arrays own their lines.
+// LRU replacement. The hierarchy's L2 is one; its L1s share a
+// set-interleaved bank that Hierarchy walks directly.
 type Array struct {
 	geom      Geometry
 	lineShift uint
 	setMask   uint64
 	sets      uint64
 	ways      int
-	stride    int // backing-row advance per set; == ways for standalone arrays
 	setsPow2  bool
-	lines     []uint64 // len == sets*stride, this array's ways at row offset 0
+	lines     []uint64 // len == sets*ways
 }
 
 // NewArray builds an empty standalone array.
@@ -93,12 +92,12 @@ func NewArray(g Geometry) (*Array, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return newArray(g, make([]uint64, g.Sets()*g.Ways), g.Ways), nil
+	return newArray(g, make([]uint64, g.Sets()*g.Ways)), nil
 }
 
-// newArray lays an array of geometry g over lines, whose rows advance
-// stride words per set: g.Ways for a standalone array, wider in a bank.
-func newArray(g Geometry, lines []uint64, stride int) *Array {
+// newArray lays an array of geometry g over lines, which must hold
+// g.Sets()*g.Ways zero words.
+func newArray(g Geometry, lines []uint64) *Array {
 	sets := uint64(g.Sets())
 	return &Array{
 		geom:      g,
@@ -106,26 +105,9 @@ func newArray(g Geometry, lines []uint64, stride int) *Array {
 		setMask:   sets - 1,
 		sets:      sets,
 		ways:      g.Ways,
-		stride:    stride,
 		setsPow2:  sets&(sets-1) == 0,
 		lines:     lines,
 	}
-}
-
-// newBank lays n identical arrays over one backing buffer of
-// g.Sets()*g.Ways*n words, interleaved by set: set s holds array 0's
-// ways, then array 1's, and so on, contiguously. A coherence snoop probes
-// every array at the same set, so interleaving turns the snoop loop's n
-// scattered reads into one sequential walk — the difference between n
-// cache misses and a prefetchable stream. Each returned Array still
-// behaves exactly like a standalone NewArray (same LRU, same states);
-// only the memory layout is shared.
-func newBank(g Geometry, n int, backing []uint64) []*Array {
-	arrays := make([]*Array, n)
-	for i := range arrays {
-		arrays[i] = newArray(g, backing[i*g.Ways:], g.Ways*n)
-	}
-	return arrays
 }
 
 // Geometry returns the array geometry.
@@ -134,7 +116,13 @@ func (a *Array) Geometry() Geometry { return a.geom }
 // LineAddr maps a byte address to its line address.
 func (a *Array) LineAddr(addr uint64) uint64 { return addr >> a.lineShift }
 
-func (a *Array) setOf(lineAddr uint64) []uint64 {
+// slot scans lineAddr's set once without touching LRU. It returns the set
+// and, when the line is present, its way. When the line is absent, way is
+// where Insert puts it: the first empty way, else the last (least-recent)
+// one, whose occupant is the victim. Presence is checked across the whole
+// set before settling on an empty way: invalidations can leave a hole in
+// front of the line, and filling the hole would duplicate the line.
+func (a *Array) slot(lineAddr uint64) (set []uint64, way int, present bool) {
 	// Sets may not be a power of two (odd ways); use modulo then.
 	var idx uint64
 	if a.setsPow2 {
@@ -142,55 +130,40 @@ func (a *Array) setOf(lineAddr uint64) []uint64 {
 	} else {
 		idx = lineAddr % a.sets
 	}
-	start := int(idx) * a.stride
-	return a.lines[start : start+a.ways]
-}
-
-// Lookup returns the state of the line holding addr, or Invalid. A hit
-// refreshes LRU by rotating the line to the most-recent position.
-func (a *Array) Lookup(lineAddr uint64) State {
-	set := a.setOf(lineAddr)
+	start := int(idx) * a.ways
+	set = a.lines[start : start+a.ways]
 	probe := lineAddr << 8
-	for i := range set {
-		if k := set[i]; k != 0 && k&^0xFF == probe {
-			for j := i; j > 0; j-- {
-				set[j] = set[j-1]
+	way = -1
+	for i, k := range set {
+		if k == 0 {
+			if way < 0 {
+				way = i
 			}
-			set[0] = k
-			return State(k & 0xFF)
+		} else if k&^0xFF == probe {
+			return set, i, true
 		}
 	}
-	return Invalid
+	if way < 0 {
+		way = len(set) - 1
+	}
+	return set, way, false
+}
+
+// toFront moves way pos of set to the most-recent position, shifting the
+// ways in front of it back by one, and stores word there.
+func toFront(set []uint64, pos int, word uint64) {
+	for j := pos; j > 0; j-- {
+		set[j] = set[j-1]
+	}
+	set[0] = word
 }
 
 // Peek returns the line state without touching LRU.
 func (a *Array) Peek(lineAddr uint64) State {
-	set := a.setOf(lineAddr)
-	probe := lineAddr << 8
-	for i := range set {
-		if k := set[i]; k != 0 && k&^0xFF == probe {
-			return State(k & 0xFF)
-		}
+	if set, way, ok := a.slot(lineAddr); ok {
+		return State(set[way] & 0xFF)
 	}
 	return Invalid
-}
-
-// SetState transitions an existing line to st (or drops it for Invalid).
-// It reports whether the line was present.
-func (a *Array) SetState(lineAddr uint64, st State) bool {
-	set := a.setOf(lineAddr)
-	probe := lineAddr << 8
-	for i := range set {
-		if k := set[i]; k != 0 && k&^0xFF == probe {
-			if st == Invalid {
-				set[i] = 0
-			} else {
-				set[i] = probe | uint64(st)
-			}
-			return true
-		}
-	}
-	return false
 }
 
 // Victim describes a line displaced by Insert.
@@ -205,63 +178,27 @@ type Victim struct {
 // Inserting a line that is already present just updates its state (and,
 // like any insert, makes the line most recent).
 func (a *Array) Insert(lineAddr uint64, st State) Victim {
-	set := a.setOf(lineAddr)
-	probe := lineAddr << 8
-	// The insert slot is the line itself if present, else the first empty
-	// way, else the last (least-recent) way, whose occupant is the victim.
-	// Presence is checked across the whole set before falling back to an
-	// empty way: invalidations can leave a hole in front of the line, and
-	// filling the hole instead would duplicate the line.
-	pos := -1
-	for i := range set {
-		if k := set[i]; k != 0 && k&^0xFF == probe {
-			pos = i
-			break
-		}
-	}
-	var v Victim
-	if pos < 0 {
-		for i := range set {
-			if set[i] == 0 {
-				pos = i
-				break
-			}
-		}
-	}
-	if pos < 0 {
-		pos = len(set) - 1
-		k := set[pos]
-		v = Victim{LineAddr: k >> 8, State: State(k & 0xFF), Valid: true}
-	}
-	for j := pos; j > 0; j-- {
-		set[j] = set[j-1]
-	}
-	set[0] = probe | uint64(st)
-	return v
+	set, way, present := a.slot(lineAddr)
+	return insertAt(set, way, present, lineAddr<<8|uint64(st))
 }
 
-// Invalidate removes the line and returns its prior state.
-func (a *Array) Invalidate(lineAddr uint64) State {
-	set := a.setOf(lineAddr)
-	probe := lineAddr << 8
-	for i := range set {
-		if k := set[i]; k != 0 && k&^0xFF == probe {
-			set[i] = 0
-			return State(k & 0xFF)
-		}
+// insertAt stores word at way of set, as slot found it, makes it most
+// recent, and returns the line it displaced.
+func insertAt(set []uint64, way int, present bool, word uint64) Victim {
+	var v Victim
+	if k := set[way]; !present && k != 0 {
+		v = Victim{LineAddr: k >> 8, State: State(k & 0xFF), Valid: true}
 	}
-	return Invalid
+	toFront(set, way, word)
+	return v
 }
 
 // CountValid returns the number of valid lines (test/debug helper).
 func (a *Array) CountValid() int {
 	n := 0
-	for s := 0; s < int(a.sets); s++ {
-		row := a.lines[s*a.stride : s*a.stride+a.ways]
-		for i := range row {
-			if row[i] != 0 {
-				n++
-			}
+	for _, k := range a.lines {
+		if k != 0 {
+			n++
 		}
 	}
 	return n

@@ -12,7 +12,7 @@ import (
 // coherence protocol — the device these tests use to manufacture the
 // violations CheckCoherence must detect.
 func corrupt(h *Hierarchy, core int, la uint64, st State) {
-	h.l1d[core].Insert(la, st)
+	fill(h.l1row(la)[core*h.ways:][:h.ways], la<<8|uint64(st))
 }
 
 // installL2For makes the L2 line covering L1 line la valid, so inclusion

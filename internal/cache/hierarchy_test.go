@@ -309,9 +309,9 @@ func TestHierarchyAfterReleaseStartsEmpty(t *testing.T) {
 		if &h2.l2.lines[0] == l2 {
 			reused++
 		}
-		for c, a := range h2.l1d {
-			if v := a.CountValid(); v != 0 {
-				t.Fatalf("round %d: core %d L1 starts with %d valid lines", round, c, v)
+		for i, k := range h2.l1 {
+			if k != 0 {
+				t.Fatalf("round %d: L1 bank word %d starts valid (%#x)", round, i, k)
 			}
 		}
 		if v := h2.l2.CountValid(); v != 0 {

@@ -2,27 +2,6 @@ package cache
 
 import "fmt"
 
-// ValidLine describes one valid line of an array (introspection for
-// invariant checking and tests).
-type ValidLine struct {
-	LineAddr uint64
-	State    State
-}
-
-// ValidLines returns every valid line in the array, in storage order.
-func (a *Array) ValidLines() []ValidLine {
-	var out []ValidLine
-	for s := 0; s < int(a.sets); s++ {
-		row := a.lines[s*a.stride : s*a.stride+a.ways]
-		for i := range row {
-			if k := row[i]; k != 0 {
-				out = append(out, ValidLine{LineAddr: k >> 8, State: State(k & 0xFF)})
-			}
-		}
-	}
-	return out
-}
-
 // CheckCoherence verifies the MESI protocol invariants across the private
 // L1s and the inclusion property against the shared L2:
 //
@@ -38,12 +17,12 @@ func (h *Hierarchy) CheckCoherence() error {
 		state State
 	}
 	seen := make(map[uint64][]holder)
-	for c, l1 := range h.l1d {
-		for _, vl := range l1.ValidLines() {
-			seen[vl.LineAddr] = append(seen[vl.LineAddr], holder{core: c, state: vl.State})
+	for i, k := range h.l1 {
+		if k != 0 {
+			c := i % h.stride / h.ways
+			seen[k>>8] = append(seen[k>>8], holder{core: c, state: State(k & 0xFF)})
 		}
 	}
-	l1LineBytes := uint64(h.cfg.L1.LineBytes)
 	for la, holders := range seen {
 		owners := 0
 		sharers := 0
@@ -62,7 +41,7 @@ func (h *Hierarchy) CheckCoherence() error {
 			return fmt.Errorf("cache: line %#x has an owner and %d sharers (%v)", la, sharers, holders)
 		}
 		// Inclusion: the covering L2 line must be valid.
-		if h.l2.Peek(h.l2.LineAddr(la*l1LineBytes)) == Invalid {
+		if h.l2.Peek(la>>h.l2Shift) == Invalid {
 			return fmt.Errorf("cache: inclusion violated: L1 line %#x has no L2 copy", la)
 		}
 	}

@@ -8,26 +8,6 @@ import (
 	"cmppower/internal/workload"
 )
 
-func TestValidLines(t *testing.T) {
-	a := smallArray(t)
-	if got := a.ValidLines(); len(got) != 0 {
-		t.Fatalf("empty array has %d valid lines", len(got))
-	}
-	a.Insert(3, Shared)
-	a.Insert(9, Modified)
-	got := a.ValidLines()
-	if len(got) != 2 {
-		t.Fatalf("ValidLines=%v", got)
-	}
-	states := map[uint64]State{}
-	for _, vl := range got {
-		states[vl.LineAddr] = vl.State
-	}
-	if states[3] != Shared || states[9] != Modified {
-		t.Errorf("states=%v", states)
-	}
-}
-
 func TestCheckCoherenceCleanHierarchy(t *testing.T) {
 	h := newH(t, 4)
 	if err := h.CheckCoherence(); err != nil {

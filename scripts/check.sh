@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1+ verification gate (see ROADMAP.md): gofmt, vet, build, the full
 # test suite under the race detector, then short fuzz smokes over the
-# input-parsing/lookup surfaces (the committed corpora under testdata/fuzz
-# run as ordinary tests; this additionally explores for 10s each). Fails
-# fast on the first broken step.
+# input-parsing/lookup surfaces and the cache coherence invariants (the
+# committed corpora under testdata/fuzz run as ordinary tests; this
+# additionally explores for 10s each). Fails fast on the first broken
+# step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,5 +43,8 @@ go test ./internal/router -run='^$' -fuzz=FuzzNormalizeKey -fuzztime=10s
 
 echo "== fuzz smoke: CSV trace parser (10s)"
 go test ./internal/traffic -run='^$' -fuzz=FuzzParseTrace -fuzztime=10s
+
+echo "== fuzz smoke: cache coherence invariants (10s)"
+go test ./internal/cache -run='^$' -fuzz=FuzzHierarchyCoherence -fuzztime=10s
 
 echo "check: all gates passed"
