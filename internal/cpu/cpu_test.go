@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -432,6 +435,78 @@ func TestAdvanceThenChargeMatchesExecComputeBurst(t *testing.T) {
 		}
 		if ref.activity != split.activity {
 			t.Errorf("speed %g: activity differs:\n%v\n%v", cfg.SpeedRatio, ref.activity, split.activity)
+		}
+	}
+}
+
+// seededMem is a MemSystem whose completion times are drawn from a seeded
+// generator: some below the L1 hit time (clamped by the core), most a
+// plausible hierarchy latency.
+type seededMem struct{ rng *workload.RNG }
+
+func (m *seededMem) Access(core int, addr uint64, write bool, now float64) float64 {
+	return now + float64(m.rng.Intn(400))*0.375
+}
+
+// pinnedActivity holds TestCoreActivityPinned's digest per configuration.
+// Any change to a counter, the clock or a unit's activity moves one.
+var pinnedActivity = map[string]uint64{
+	"speed=1/fetch=3":    0x561af1a3238fdeb5,
+	"speed=1/fetch=4":    0x728452d8ffbfd5e2,
+	"speed=0.55/fetch=3": 0xc011b3ffe4e49a2,
+	"speed=0.55/fetch=4": 0x14fd82d37d06b74e,
+}
+
+// TestCoreActivityPinned runs seeded mixes of every way the engine
+// charges a core — ExecComputeBurst, ExecLoadStore, ExecSync, and
+// AdvanceCompute followed by ChargeCompute — and folds every unit's
+// Activity and every Stats field into one FNV-1a digest per
+// configuration, pinned absolutely. Full- and part-speed cores and
+// power-of-two and odd fetch widths are covered.
+func TestCoreActivityPinned(t *testing.T) {
+	for _, speed := range []float64{1, 0.55} {
+		for _, fetch := range []int{3, 4} {
+			name := fmt.Sprintf("speed=%g/fetch=%d", speed, fetch)
+			cfg := DefaultConfig()
+			cfg.IPCNonMem = 2.3
+			cfg.IL1MissRate = 0.0017
+			cfg.SpeedRatio = speed
+			cfg.FetchWidth = fetch
+			c := newCore(t, cfg)
+			rng := workload.NewRNG(uint64(fetch)*131 + uint64(speed*1000))
+			mem := &seededMem{rng: workload.NewRNG(rng.Uint64())}
+			for step := 0; step < 20000; step++ {
+				n := rng.Intn(120)
+				if rng.Intn(5) == 0 {
+					n = rng.Intn(8)
+				}
+				fp, br := rng.Intn(n+1), rng.Intn(n/3+1)
+				switch rng.Intn(7) {
+				case 0, 1, 2:
+					c.ExecLoadStore(rng.Uint64()&^7, rng.Intn(3) == 0, mem)
+				case 3:
+					c.ExecSync(float64(rng.Intn(40)) * 0.5)
+				case 4:
+					c.AdvanceCompute(n, br)
+					c.ChargeCompute(n, fp, br)
+				default:
+					c.ExecComputeBurst(n, fp, br)
+				}
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for u := floorplan.Unit(0); u <= floorplan.UnitBus; u++ {
+				binary.LittleEndian.PutUint64(b[:], uint64(c.Activity(u)))
+				h.Write(b[:])
+			}
+			for _, v := range statsBits(c.Stats()) {
+				binary.LittleEndian.PutUint64(b[:], v)
+				h.Write(b[:])
+			}
+			got := h.Sum64()
+			if want, ok := pinnedActivity[name]; !ok || got != want {
+				t.Errorf("%q: %#x, pinned %#x", name, got, want)
+			}
 		}
 	}
 }
