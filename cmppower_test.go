@@ -96,6 +96,15 @@ func TestFacadeSimulate(t *testing.T) {
 	if res.Instructions <= 0 || res.Seconds <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
+	// A hot window too small to hold one 8-byte word is refused before
+	// the run starts, not discovered by a panic mid-run.
+	prog.Steps[2] = cmppower.Kernel{
+		Accesses: 100, ComputePerMem: 4, WriteFrac: 0.3, HotFrac: 0.5,
+		Region: cmppower.Region{Size: 4, Scope: cmppower.Shared},
+	}
+	if _, err := cmppower.Simulate(prog, cmppower.DefaultSimConfig(2, tab.Nominal())); err == nil {
+		t.Fatal("Simulate accepted a 4-byte hot window")
+	}
 }
 
 func TestFacadeExperimentEndToEnd(t *testing.T) {

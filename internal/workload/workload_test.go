@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,9 @@ func TestValidateRejections(t *testing.T) {
 		{"bad branchfrac", Program{Name: "x", Steps: []Step{Compute{N: 1, BranchFrac: -0.5}}}},
 		{"negative accesses", Program{Name: "x", Steps: []Step{Kernel{Accesses: -1, Region: Region{Size: 8}}}}},
 		{"empty region", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1}}}},
+		{"negative computePerMem", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, ComputePerMem: -1, Region: Region{Size: 8}}}}},
+		{"huge computePerMem", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, ComputePerMem: 1e9, Region: Region{Size: 8}}}}},
+		{"NaN computePerMem", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, ComputePerMem: math.NaN(), Region: Region{Size: 8}}}}},
 		{"negative stride", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, StrideBytes: -8, Region: Region{Size: 8}}}}},
 		{"bad writefrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, WriteFrac: 1.5, Region: Region{Size: 8}}}}},
 		{"bad jitter", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, Jitter: 1, Region: Region{Size: 8}}}}},
@@ -400,5 +404,63 @@ func TestValidateReturnsTypedErrors(t *testing.T) {
 	err = (&Program{Name: "y", Steps: []Step{Loop{Times: 1, Body: []Step{Compute{N: 1}, Compute{N: -1}}}}}).Validate()
 	if !errors.As(err, &ve) || ve.Step != 1 {
 		t.Errorf("nested defect: %+v", ve)
+	}
+}
+
+// TestThresholdBoundaries checks the integer form of a Bernoulli draw
+// against the float compare it replaces, at the two draws either side of
+// each threshold: x = T-1 must pass RNG.Float64() < p and x = T must
+// fail it. The low 11 bits of a draw, which Float64 discards, are set to
+// show bernoulli discards them too.
+func TestThresholdBoundaries(t *testing.T) {
+	for _, p := range []float64{0, 0x1p-60, 0x1p-53, 0.1, 0.3, 0.5, 0.93, 1 - 0x1p-53, 1, math.NaN()} {
+		tt := threshold(p)
+		if tt > 1<<53 {
+			t.Fatalf("p=%g: threshold %d above 2^53", p, tt)
+		}
+		for _, x := range []uint64{tt - 1, tt} {
+			if x >= 1<<53 {
+				continue // T-1 below 0, or T past the largest draw
+			}
+			want := float64(x)*0x1p-53 < p
+			if got := bernoulli(x<<11|0x7ff, tt) == 1; got != want {
+				t.Errorf("p=%g T=%d: draw %d passes %v, float compare says %v", p, tt, x, got, want)
+			}
+			if want != (x == tt-1) {
+				t.Errorf("p=%g T=%d: draw %d is on the wrong side of the threshold", p, tt, x)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsWordlessHotWindow pins the rule that a hot window
+// must hold one 8-byte word: a smaller one has no address to draw. A tiny
+// Partition region is accepted, because its per-thread window is never
+// below 8 bytes.
+func TestValidateRejectsWordlessHotWindow(t *testing.T) {
+	kernel := func(r Region, hotBytes uint64) *Program {
+		return &Program{Name: "hot", Steps: []Step{Barrier{ID: 0}, Kernel{
+			Accesses: 100, ComputePerMem: 4, WriteFrac: 0.3, HotFrac: 0.5, HotBytes: hotBytes, Region: r,
+		}}}
+	}
+	for name, p := range map[string]*Program{
+		"4-byte shared":     kernel(Region{Size: 4, Scope: Shared}, 0),
+		"4-byte per-thread": kernel(Region{Size: 4, Scope: PerThread}, 0),
+		"HotBytes 4":        kernel(Region{Size: 1 << 20, Scope: Shared}, 4),
+	} {
+		var ve *ValidationError
+		if err := p.Validate(); !errors.As(err, &ve) || ve.Step != 1 {
+			t.Errorf("%s: Validate = %v, want a *ValidationError at step 1", name, err)
+		}
+		if _, err := NewStream(p, 0, 2, 1); err == nil {
+			t.Errorf("%s: NewStream accepted the program", name)
+		}
+	}
+	p := kernel(Region{Size: 4, Scope: Partition}, 0)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("4-byte partition: %v", err)
+	}
+	if _, _, err := CountEvents(p, 1, 2, 1, 1<<12); err != nil {
+		t.Fatalf("4-byte partition: %v", err)
 	}
 }
