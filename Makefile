@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/router -run='^$$' -fuzz=FuzzNormalizeKey -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/traffic -run='^$$' -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzHierarchyCoherence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cmp -run='^$$' -fuzz=FuzzEngineEquivalence -fuzztime=$(FUZZTIME)
 
 # Rewrite the CLI golden files after a deliberate output change; review
 # the testdata/golden diff before committing.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1+ verification gate (see ROADMAP.md): gofmt, vet, build, the full
 # test suite under the race detector, then short fuzz smokes over the
-# input-parsing/lookup surfaces and the cache coherence invariants (the
+# input-parsing/lookup surfaces, the cache coherence invariants and the
+# fused engine's equivalence to its reference loop (the
 # committed corpora under testdata/fuzz run as ordinary tests; this
 # additionally explores for 10s each). Fails fast on the first broken
 # step.
@@ -46,5 +47,8 @@ go test ./internal/traffic -run='^$' -fuzz=FuzzParseTrace -fuzztime=10s
 
 echo "== fuzz smoke: cache coherence invariants (10s)"
 go test ./internal/cache -run='^$' -fuzz=FuzzHierarchyCoherence -fuzztime=10s
+
+echo "== fuzz smoke: fused engine vs reference loop (10s)"
+go test ./internal/cmp -run='^$' -fuzz=FuzzEngineEquivalence -fuzztime=10s
 
 echo "check: all gates passed"
