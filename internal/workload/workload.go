@@ -317,7 +317,7 @@ func validateSteps(steps []Step, depth int) *ValidationError {
 					return err
 				}
 			}
-			if s.Jitter < 0 || s.Jitter >= 1 {
+			if !(s.Jitter >= 0 && s.Jitter < 1) {
 				return stepErr(i, "workload: step %d: jitter %g outside [0,1)", i, s.Jitter)
 			}
 			if err := checkFrac(i, "HotFrac", s.HotFrac); err != nil {
@@ -360,7 +360,7 @@ func validateSteps(steps []Step, depth int) *ValidationError {
 }
 
 func checkFrac(step int, name string, v float64) *ValidationError {
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		return stepErr(step, "workload: %s %g outside [0,1]", name, v)
 	}
 	return nil

@@ -146,6 +146,13 @@ func TestValidateRejections(t *testing.T) {
 		{"negative stride", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, StrideBytes: -8, Region: Region{Size: 8}}}}},
 		{"bad writefrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, WriteFrac: 1.5, Region: Region{Size: 8}}}}},
 		{"bad jitter", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, Jitter: 1, Region: Region{Size: 8}}}}},
+		{"NaN compute fpfrac", Program{Name: "x", Steps: []Step{Compute{N: 1, FPFrac: math.NaN()}}}},
+		{"NaN compute branchfrac", Program{Name: "x", Steps: []Step{Compute{N: 1, BranchFrac: math.NaN()}}}},
+		{"NaN kernel fpfrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, FPFrac: math.NaN(), Region: Region{Size: 8}}}}},
+		{"NaN kernel branchfrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, BranchFrac: math.NaN(), Region: Region{Size: 8}}}}},
+		{"NaN writefrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, WriteFrac: math.NaN(), Region: Region{Size: 8}}}}},
+		{"NaN hotfrac", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, HotFrac: math.NaN(), Region: Region{Size: 8}}}}},
+		{"NaN jitter", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, Jitter: math.NaN(), Region: Region{Size: 8}}}}},
 		{"negative barrier", Program{Name: "x", Steps: []Step{Barrier{ID: -1}}}},
 		{"negative lock", Program{Name: "x", Steps: []Step{Critical{Lock: -1}}}},
 		{"negative loop", Program{Name: "x", Steps: []Step{Loop{Times: -1}}}},
