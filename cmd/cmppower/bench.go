@@ -81,21 +81,17 @@ type endToEndBench struct {
 }
 
 // sweepBench is the incremental-simulation figure (schema 8): one full
-// fig3+fig4 campaign cold (memo and fork caches disabled — every run
-// regenerates its event streams) against the same campaign warm
-// (checkpoint forking and memoization on). Outputs are bit-identical
-// either way — doctor check 14 holds that — so the only thing this
-// measures is wall-clock. The Speedup ratio is gated by scripts/benchgate
-// like the engine and thermal ratios.
+// fig3+fig4 campaign cold (memo disabled — every run simulates) against
+// the same campaign warm (memoization on, so repeated runs are served
+// from the memo). Outputs are bit-identical either way
+// (TestMemoDedupesRepeatedRuns holds that), so the only thing this measures
+// is wall-clock. The Speedup ratio is gated by scripts/benchgate like the
+// engine and thermal ratios.
 type sweepBench struct {
 	Config      string  `json:"config"`
 	ColdSeconds float64 `json:"cold_seconds"`
 	WarmSeconds float64 `json:"warm_seconds"`
 	Speedup     float64 `json:"speedup"`
-	// Fork-cache traffic of the measured warm campaign: how many runs
-	// replayed a recorded neighbor vs cold-started.
-	ForkHits   int64 `json:"fork_hits"`
-	ForkMisses int64 `json:"fork_misses"`
 }
 
 // surrogateBench is the surrogate fast-path figure (schema 9): uncached
@@ -104,7 +100,7 @@ type sweepBench struct {
 // seed, so the response cache and the memo layer never hit — exact
 // queries pay a full simulation, surrogate queries are answered from
 // the activated fit (seeds pool in the surrogate key, and the
-// differential suite plus doctor check 15 hold the answers to the
+// differential suite plus doctor check 14 hold the answers to the
 // advertised error bound). Requests are dispatched straight into the
 // handler (no kernel sockets): both sides include identical
 // decode/validate/serve overhead, and the Speedup ratio is the
@@ -531,17 +527,16 @@ func benchSurrogate(quick bool) (surrogateBench, error) {
 
 // benchSweep times the full paper campaign — fig3 (every application,
 // N = 1..16) plus fig4 (Cholesky, FMM, Radix) at -j 16 — cold versus
-// warm. Cold disables both caches, so every run pays stream generation;
-// warm lets completed columns record checkpoints that later rungs fork
-// from, and repeated (app, n, point) runs hit the memo. Each measurement
-// uses a fresh rig so nothing leaks between reps; best of reps.
+// warm. Cold disables the memo, so every run simulates; warm serves
+// repeated (app, n, point) runs from the memo. Each measurement uses a
+// fresh rig so nothing leaks between reps; best of reps.
 func benchSweep() (sweepBench, error) {
-	// -quick does not reduce this benchmark: the cold/warm ratio depends
-	// strongly on run length (recording costs a fixed ~32 B/event while
-	// the generation it avoids grows with run compute), so a reduced-scale
-	// measurement would not be comparable against the committed baseline,
-	// and fewer repetitions on a noisy host would flake the CI gate. A
-	// campaign pair costs ~3 s; three pairs keep the best-of stable.
+	// -quick does not reduce this benchmark: the cold/warm ratio is the
+	// share of a campaign's simulation time spent on repeated runs, which
+	// shifts with run length, so a reduced-scale measurement would not be
+	// comparable against the committed baseline, and fewer repetitions on
+	// a noisy host would flake the CI gate. A campaign pair costs ~3 s;
+	// three pairs keep the best-of stable.
 	scale, reps := 1.0, 3
 	fig3Apps, err := appsFor("all")
 	if err != nil {
@@ -552,71 +547,65 @@ func benchSweep() (sweepBench, error) {
 		return sweepBench{}, err
 	}
 	counts := []int{1, 2, 4, 8, 16}
-	campaign := func(cold bool) (float64, cmppower.ForkStats, error) {
-		// Unreference the previous campaign's rig (and its caches) and
+	campaign := func(cold bool) (float64, error) {
+		// Unreference the previous campaign's rig (and its memo) and
 		// collect before timing, so each campaign reuses freed heap spans
 		// instead of faulting fresh pages inside the measured region.
 		runtime.GC()
 		rig, err := cmppower.NewExperiment(scale)
 		if err != nil {
-			return 0, cmppower.ForkStats{}, err
+			return 0, err
 		}
 		cfg := cmppower.SweepConfig{
-			Retry: cmppower.DefaultRetryConfig(), Workers: 16,
-			NoMemo: cold, NoFork: cold,
+			Retry: cmppower.DefaultRetryConfig(), Workers: 16, NoMemo: cold,
 		}
 		start := time.Now()
 		outs, err := rig.SweepScenarioIWith(context.Background(), fig3Apps, counts, cfg)
 		if err != nil {
-			return 0, cmppower.ForkStats{}, err
+			return 0, err
 		}
 		outs4, err := rig.SweepScenarioIIWith(context.Background(), fig4Apps, counts, cfg)
 		if err != nil {
-			return 0, cmppower.ForkStats{}, err
+			return 0, err
 		}
 		el := time.Since(start).Seconds()
 		for _, o := range append(outs, outs4...) {
 			if o.Err != nil {
-				return 0, cmppower.ForkStats{}, fmt.Errorf("bench sweep: %s: %w", o.App, o.Err)
+				return 0, fmt.Errorf("bench sweep: %s: %w", o.App, o.Err)
 			}
 		}
-		return el, rig.ForkStats(), nil
+		return el, nil
 	}
 	// One untimed warm campaign first: it grows the heap to its steady
-	// footprint (the fork cache retains ~256 MiB of event logs), so the
-	// timed reps reuse freed spans instead of measuring page-fault noise —
-	// the same reason the engine and thermal benches warm up untimed.
-	// Cold and warm reps then interleave, best-of-reps each, so a noisy
-	// host epoch (frequency ramps, neighbor load) hits both sides instead
-	// of biasing whichever ran second.
-	if _, _, err := campaign(false); err != nil {
+	// footprint, so the timed reps reuse freed spans instead of measuring
+	// page-fault noise — the same reason the engine and thermal benches
+	// warm up untimed. Cold and warm reps then interleave, best-of-reps
+	// each, so a noisy host epoch (frequency ramps, neighbor load) hits
+	// both sides instead of biasing whichever ran second.
+	if _, err := campaign(false); err != nil {
 		return sweepBench{}, err
 	}
 	coldSec, warmSec := 0.0, 0.0
-	var st cmppower.ForkStats
 	for r := 0; r < reps; r++ {
-		c, _, err := campaign(true)
+		c, err := campaign(true)
 		if err != nil {
 			return sweepBench{}, err
 		}
 		if coldSec == 0 || c < coldSec {
 			coldSec = c
 		}
-		w, wst, err := campaign(false)
+		w, err := campaign(false)
 		if err != nil {
 			return sweepBench{}, err
 		}
 		if warmSec == 0 || w < warmSec {
 			warmSec = w
-			st = wst
 		}
 	}
 	return sweepBench{
-		Config:      fmt.Sprintf("fig3(all apps)+fig4(Cholesky,FMM,Radix), N=1..16, scale=%g, j=16, cold(NoMemo+NoFork) vs warm(memo+fork)", scale),
+		Config:      fmt.Sprintf("fig3(all apps)+fig4(Cholesky,FMM,Radix), N=1..16, scale=%g, j=16, cold(NoMemo) vs warm(memo)", scale),
 		ColdSeconds: coldSec,
 		WarmSeconds: warmSec,
 		Speedup:     coldSec / warmSec,
-		ForkHits:    st.Hits,
-		ForkMisses:  st.Misses,
 	}, nil
 }

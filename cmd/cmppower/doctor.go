@@ -21,7 +21,8 @@ import (
 
 // Doctor exit codes. The resilience section uses distinct codes so CI can
 // tell which safety net tore without parsing output; the baseline checks
-// share code 1 as before.
+// share code 1 as before. Code 10 belonged to a retired check and stays
+// unused, so the codes after it keep their meaning.
 const (
 	exitDoctorBaseline    = 1  // any baseline model/simulator check failed
 	exitDoctorFaultInject = 2  // fault-injector round-trip broken
@@ -32,7 +33,6 @@ const (
 	exitDoctorObs         = 7  // metric snapshot / manifest differed across -j
 	exitDoctorServe       = 8  // HTTP serving layer diverged from the library
 	exitDoctorRouter      = 9  // fleet router diverged, dropped, or failed to hedge
-	exitDoctorFork        = 10 // warm-fork sweep diverged from cold, or forked under faults
 	exitDoctorSurrogate   = 11 // surrogate fast path leaked into exact mode, or broke its bound
 	exitDoctorScenario    = 12 // scenario IR broke baseline fidelity, identity, or 3D physics
 )
@@ -59,7 +59,6 @@ var doctorChecks = []struct {
 	{"manifest identical across -j", checkObsDeterminism, exitDoctorObs},
 	{"serve round-trip deterministic", checkServe, exitDoctorServe},
 	{"router fleet invisible under faults", checkRouter, exitDoctorRouter},
-	{"warm-fork sweep matches cold", checkForkDeterminism, exitDoctorFork},
 	{"surrogate path exact-invisible and bound-honest", checkSurrogate, exitDoctorSurrogate},
 	{"scenario IR faithful, content-addressed, 3D-sane", checkScenario, exitDoctorScenario},
 }
@@ -163,17 +162,17 @@ func simulateFFT(scale float64, tune func(*cmppower.SimConfig)) (*cmppower.SimRe
 	return cmppower.Simulate(app.Program(scale), cfg)
 }
 
-// sweepApps are the applications of the sweep checks 9, 11 and 14 share.
+// sweepApps are the applications of the sweep checks 9 and 11 share.
 const sweepApps = "FFT,LU,Radix"
 
-// sweepRig returns a fresh rig for the sweep checks 9, 11 and 14 share:
-// seed 11 at the given scale and, when faulty, an injector seeded 11.
+// sweepRig returns a fresh rig for the sweep checks 9 and 11 share:
+// seed 11 at scale 0.1 and, when faulty, an injector seeded 11.
 // Without DTM a sweep never reads a sensor or requests a DVFS transition,
 // so only the cache ECC faults draw from the injector's streams during
 // the sweep; they are what make a fault-stream mix-up between work
 // items visible.
-func sweepRig(scale float64, faulty bool) (*experiment.Rig, error) {
-	rig, err := experiment.NewRig(scale)
+func sweepRig(faulty bool) (*experiment.Rig, error) {
+	rig, err := experiment.NewRig(0.1)
 	if err != nil {
 		return nil, err
 	}
@@ -186,19 +185,15 @@ func sweepRig(scale float64, faulty bool) (*experiment.Rig, error) {
 	return rig, err
 }
 
-// sweep runs Scenario I, or II, of the named apps over N ∈ {1, 2, 4} on
-// rig with the default retry policy.
-func sweep(rig *experiment.Rig, apps string, scenarioII bool, cfg cmppower.SweepConfig) ([]cmppower.SweepOutcome, error) {
+// sweep runs Scenario I of the named apps over N ∈ {1, 2, 4} on rig with
+// the default retry policy.
+func sweep(rig *experiment.Rig, apps string, cfg cmppower.SweepConfig) ([]cmppower.SweepOutcome, error) {
 	list, err := appsFor(apps)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Retry = cmppower.DefaultRetryConfig()
-	counts := []int{1, 2, 4}
-	if scenarioII {
-		return rig.SweepScenarioIIWith(context.Background(), list, counts, cfg)
-	}
-	return rig.SweepScenarioIWith(context.Background(), list, counts, cfg)
+	return rig.SweepScenarioIWith(context.Background(), list, []int{1, 2, 4}, cfg)
 }
 
 // checkObsDeterminism runs the same sweep with metrics enabled at worker
@@ -210,13 +205,13 @@ func sweep(rig *experiment.Rig, apps string, scenarioII bool, cfg cmppower.Sweep
 // itself.
 func checkObsDeterminism() error {
 	manifest := func(faulty bool, workers int) ([]byte, error) {
-		rig, err := sweepRig(0.1, faulty)
+		rig, err := sweepRig(faulty)
 		if err != nil {
 			return nil, err
 		}
 		reg := cmppower.NewMetricsRegistry()
 		rig.Obs = reg
-		outs, err := sweep(rig, sweepApps, false, cmppower.SweepConfig{Workers: workers})
+		outs, err := sweep(rig, sweepApps, cmppower.SweepConfig{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
@@ -260,74 +255,16 @@ func checkObsDeterminism() error {
 func checkParallelDeterminism() error {
 	var outs [2][]cmppower.SweepOutcome
 	for i, workers := range []int{1, 4} {
-		rig, err := sweepRig(0.1, true)
+		rig, err := sweepRig(true)
 		if err != nil {
 			return err
 		}
-		if outs[i], err = sweep(rig, sweepApps, false, cmppower.SweepConfig{Workers: workers}); err != nil {
+		if outs[i], err = sweep(rig, sweepApps, cmppower.SweepConfig{Workers: workers}); err != nil {
 			return err
 		}
 	}
 	if !reflect.DeepEqual(outs[0], outs[1]) {
 		return fmt.Errorf("sweep outcomes differ between -j 1 and -j 4")
-	}
-	return nil
-}
-
-// checkForkDeterminism is check 14: a sweep that warm-starts runs by
-// forking recorded neighbor checkpoints must be byte-identical to one
-// that cold-starts every run, at -j 1, 4 and 16, in both scenarios and
-// with Ocean added to the sweep's apps. It runs at scale 0.15: at 0.1 no
-// Scenario II row at N ≤ 4 exceeds the power budget, so that scenario
-// would never fork. A cold sweep must not touch the fork cache, and under
-// an active fault spec the forking machinery must bypass itself entirely
-// (zero cache traffic) rather than replay streams the injector never saw.
-func checkForkDeterminism() error {
-	run := func(apps string, scenarioII, faulty bool, workers int, noFork bool) ([]cmppower.SweepOutcome, cmppower.ForkStats, error) {
-		rig, err := sweepRig(0.15, faulty)
-		if err != nil {
-			return nil, cmppower.ForkStats{}, err
-		}
-		outs, err := sweep(rig, apps, scenarioII, cmppower.SweepConfig{Workers: workers, NoFork: noFork})
-		return outs, rig.ForkStats(), err
-	}
-	for _, scenarioII := range []bool{false, true} {
-		cold, st, err := run(sweepApps+",Ocean", scenarioII, false, 1, true)
-		if err != nil {
-			return err
-		}
-		if st.Hits != 0 || st.Misses != 0 {
-			return fmt.Errorf("scenarioII=%t: cold sweep touched the fork cache: %+v", scenarioII, st)
-		}
-		for _, j := range []int{1, 4, 16} {
-			warm, st, err := run(sweepApps+",Ocean", scenarioII, false, j, false)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(cold, warm) {
-				return fmt.Errorf("scenarioII=%t: forking sweep at -j %d differs from cold sweep", scenarioII, j)
-			}
-			if st.Hits == 0 || st.Records == 0 {
-				return fmt.Errorf("scenarioII=%t: forking sweep at -j %d never forked (hits=%d records=%d)",
-					scenarioII, j, st.Hits, st.Records)
-			}
-		}
-	}
-	// Under active injection: identical results to a faulty cold sweep AND
-	// zero fork-cache traffic.
-	faultyCold, _, err := run(sweepApps, false, true, 1, true)
-	if err != nil {
-		return err
-	}
-	faultyWarm, st, err := run(sweepApps, false, true, 1, false)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(faultyCold, faultyWarm) {
-		return fmt.Errorf("fork-enabled faulty sweep differs from cold faulty sweep")
-	}
-	if st.Hits != 0 || st.Misses != 0 || st.Records != 0 {
-		return fmt.Errorf("fork cache saw traffic under active fault injection: %+v", st)
 	}
 	return nil
 }

@@ -36,7 +36,6 @@ func TestDoctorTable(t *testing.T) {
 		{"manifest identical across -j", 7},
 		{"serve round-trip deterministic", 8},
 		{"router fleet invisible under faults", 9},
-		{"warm-fork sweep matches cold", 10},
 		{"surrogate path exact-invisible and bound-honest", 11},
 		{"scenario IR faithful, content-addressed, 3D-sane", 12},
 	}

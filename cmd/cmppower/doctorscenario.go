@@ -9,7 +9,7 @@ import (
 	"cmppower/internal/scenario"
 )
 
-// checkScenario is doctor check 16: the scenario IR's three contracts.
+// checkScenario is doctor check 15: the scenario IR's three contracts.
 //
 //  1. Baseline fidelity: a rig built from the baseline scenario document
 //     keeps the legacy cache identity (an empty digest) and the baseline
@@ -70,7 +70,7 @@ func checkScenario() error {
 		if err != nil {
 			return err
 		}
-		if outs[i], err = sweep(rig, "FFT,LU", false, cmppower.SweepConfig{Workers: workers}); err != nil {
+		if outs[i], err = sweep(rig, "FFT,LU", cmppower.SweepConfig{Workers: workers}); err != nil {
 			return err
 		}
 	}

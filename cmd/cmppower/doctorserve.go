@@ -35,7 +35,7 @@ func checkServe() error {
 	if err != nil {
 		return err
 	}
-	outs, err := sweep(rig, "FFT,LU", false, cmppower.SweepConfig{Workers: 1})
+	outs, err := sweep(rig, "FFT,LU", cmppower.SweepConfig{Workers: 1})
 	if err != nil {
 		return err
 	}

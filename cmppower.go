@@ -259,9 +259,6 @@ type SweepConfig = experiment.SweepConfig
 // MemoStats reports an Experiment's run-memoization counters.
 type MemoStats = experiment.MemoStats
 
-// ForkStats reports an Experiment's warm-state fork-cache counters.
-type ForkStats = experiment.ForkStats
-
 // DTMConfig parameterizes the dynamic thermal-management controller.
 type DTMConfig = experiment.DTMConfig
 

@@ -208,8 +208,8 @@ func (h *Hierarchy) Bus() *bus.Bus { return h.bus }
 
 // LineDigest folds every packed cache-line word — the whole L1 bank and
 // the L2 — into one FNV-1a value. Two hierarchies that executed the same
-// access sequence digest identically, so checkpoint round-trip tests use
-// it to verify a forked run rebuilt the exact cache state of a cold run.
+// access sequence digest identically, so tests pin the exact cache state
+// through it: the traffic digest and the recycled-line-buffer test.
 func (h *Hierarchy) LineDigest() uint64 {
 	const prime = 1099511628211
 	d := uint64(14695981039346656037)

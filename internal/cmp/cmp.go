@@ -100,23 +100,6 @@ type Config struct {
 	// assembled, so a nil registry costs exactly one branch per run and the
 	// simulated outcome is identical either way.
 	Metrics *obs.Registry
-	// Record captures the run's per-core event logs into
-	// Result.Checkpoint at completion, for warm-state forking of
-	// neighboring sweep points (see Checkpoint). Recording changes no
-	// simulated outcome; it costs one append per delivered event plus the
-	// log memory. Only Run supports it — RunMulti's job adapter remaps
-	// events in place, so multiprogrammed runs reject it.
-	Record bool
-	// Replay, when non-nil, substitutes the checkpoint's recorded event
-	// logs for live stream generation. The run must match the
-	// checkpoint's program, core count, and seed (see
-	// Checkpoint.CompatibleWith); the operating point may differ, which
-	// is how a sweep point forks from a rung neighbor's warm state. A
-	// replayed run is bit-identical to the equivalent cold run.
-	Replay *Checkpoint
-	// prog is the program Run was invoked with, threaded to checkpoint
-	// assembly; external callers never set it.
-	prog *workload.Program
 }
 
 // DefaultConfig returns a run configuration for n active cores on the
@@ -200,9 +183,6 @@ type Result struct {
 	// Trace holds the last Config.TraceLast executed events when tracing
 	// was enabled, in chronological order.
 	Trace []TraceEvent
-	// Checkpoint is the run's warm state, captured when Config.Record was
-	// set; nil otherwise.
-	Checkpoint *Checkpoint
 }
 
 // Sample is one interval activity record of a sampled run.
@@ -244,8 +224,12 @@ type lock struct {
 
 // eventSource produces one core's workload events. *workload.Stream is
 // the canonical implementation; RunMulti wraps it to remap lock ids.
+// Next delivers one event, for the reference loop; NextBatch fills buf
+// with the next events (the exact sequence repeated Next calls would
+// deliver) and returns the count, for the fused loop.
 type eventSource interface {
 	Next() workload.Event
+	NextBatch(buf []workload.Event) int
 }
 
 // Run executes prog on the configured chip and returns the measured
@@ -257,23 +241,13 @@ func Run(prog *workload.Program, cfg Config) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.prog = prog
 	sources := make([]eventSource, cfg.NCores)
-	if cfg.Replay != nil {
-		if err := cfg.Replay.CompatibleWith(prog, cfg.NCores, cfg.Seed); err != nil {
+	for i := 0; i < cfg.NCores; i++ {
+		st, err := workload.NewStream(prog, i, cfg.NCores, cfg.Seed)
+		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < cfg.NCores; i++ {
-			sources[i] = &replaySource{log: cfg.Replay.logs[i]}
-		}
-	} else {
-		for i := 0; i < cfg.NCores; i++ {
-			st, err := workload.NewStream(prog, i, cfg.NCores, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			sources[i] = st
-		}
+		sources[i] = st
 	}
 	return runEngine(cfg, sources, prog.MaxBarrierID()+1, prog.MaxLockID()+1, cfg.NCores)
 }
@@ -286,12 +260,6 @@ func Run(prog *workload.Program, cfg Config) (*Result, error) {
 func RunMulti(progs []*workload.Program, cfg Config) (*Result, error) {
 	if len(progs) == 0 {
 		return nil, errors.New("cmp: no programs")
-	}
-	if cfg.Record || cfg.Replay != nil {
-		// The job adapter remaps lock ids and addresses in the batch
-		// buffers in place, so a recorded log would capture remapped
-		// events and a replayed log would be remapped twice.
-		return nil, errors.New("cmp: checkpointing is not supported for multiprogrammed runs")
 	}
 	cfg.NCores = len(progs)
 	if err := cfg.Validate(); err != nil {
@@ -332,8 +300,7 @@ func MultiSeed(base uint64, job int) uint64 {
 
 // jobAdapter isolates one multiprogrammed job: lock ids shift into a
 // private range and data addresses into a private slab. It batches by
-// remapping a whole stream batch in place, so multiprogrammed runs stay
-// on the fast path.
+// remapping a whole stream batch in place.
 type jobAdapter struct {
 	src        *workload.Stream
 	lockOffset int
@@ -410,8 +377,8 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 		return nil, err
 	}
 	// Deferred, so the line buffers go back to the free lists on every
-	// exit path, and only after the result assembly below (LineDigest,
-	// Stats, collectActivity, publishMetrics) has read the hierarchy.
+	// exit path, and only after the result assembly below (Stats,
+	// collectActivity, publishMetrics) has read the hierarchy.
 	defer hier.Release()
 
 	cores := make([]*cpu.Core, cfg.NCores)
@@ -438,20 +405,6 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 	maxEvents := cfg.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = 1 << 33
-	}
-
-	var recs []*recorder
-	if cfg.Record && cfg.Replay == nil {
-		// Wrap every source so the delivered event sequence is captured;
-		// a replayed run that also records shares its ancestor's logs
-		// instead (see buildCheckpoint).
-		recs = make([]*recorder, len(sources))
-		for i, src := range sources {
-			rec := &recorder{src: src}
-			rec.batch, _ = src.(batchSource)
-			recs[i] = rec
-			sources[i] = rec
-		}
 	}
 
 	var ring *traceRing
@@ -514,9 +467,6 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 	res.Seconds = res.Cycles / cfg.Point.Freq
 	res.BusUtilization = hier.Bus().Utilization(res.Cycles)
 	res.MemUtilization = dram.Utilization(res.Seconds)
-	if cfg.Record {
-		res.Checkpoint = buildCheckpoint(cfg, recs, res, hier.LineDigest())
-	}
 	publishMetrics(cfg.Metrics, res, hier, dram)
 	return res, nil
 }

@@ -13,24 +13,6 @@ import (
 	"cmppower/internal/workload"
 )
 
-// batchSource is the fast-path extension of eventSource: it fills buf
-// with the next events (the exact sequence repeated Next calls would
-// deliver) and returns the count. Both engine sources implement it;
-// a source without it falls back to one Next call per refill.
-type batchSource interface {
-	NextBatch(buf []workload.Event) int
-}
-
-// windowSource is the zero-copy extension of batchSource: instead of
-// filling the caller's buffer it returns a read-only window of its own
-// storage, at most max events long. The checkpoint recorder and replay
-// sources implement it so recording writes each event to memory exactly
-// once (the engine consumes the log's own chunks) and replaying copies
-// nothing at all. The engine never mutates a window's contents.
-type windowSource interface {
-	NextWindow(max int) []workload.Event
-}
-
 // batchCap is the per-core event buffer length. Big enough that refill
 // overhead (and its cancellation poll) amortizes to noise.
 const batchCap = 256
@@ -47,44 +29,25 @@ var eventBufs = sync.Pool{New: func() any { return new([batchCap]workload.Event)
 // function of (program, tid, n, seed) — engine scheduling never feeds
 // back into a stream.
 type runner struct {
-	src   eventSource
-	batch batchSource  // nil when src cannot batch
-	win   windowSource // nil when src cannot hand out windows
-	// own is the pooled buffer buf starts on; nil for a window source,
-	// whose buf always points into the source's own storage instead.
-	own    *[batchCap]workload.Event
-	buf    []workload.Event
+	src    eventSource
+	buf    *[batchCap]workload.Event
 	pos, n int
 }
 
-// newRunners sets up one runner per core. A runner over a window source
-// (checkpoint recording or replay) reads that source's storage and takes
-// no buffer; every other runner takes one from eventBufs.
+// newRunners sets up one runner per core, each on a buffer from
+// eventBufs.
 func (e *engine) newRunners() []runner {
 	runners := make([]runner, len(e.sources))
 	for i, src := range e.sources {
-		r := &runners[i]
-		r.src = src
-		r.batch, _ = src.(batchSource)
-		r.win, _ = src.(windowSource)
-		if r.win == nil {
-			r.own = eventBufs.Get().(*[batchCap]workload.Event)
-			r.buf = r.own[:]
-		}
+		runners[i] = runner{src: src, buf: eventBufs.Get().(*[batchCap]workload.Event)}
 	}
 	return runners
 }
 
-// releaseRunners returns the buffers newRunners took to eventBufs. Only
-// own goes back, never buf: a window belongs to its checkpoint's event
-// log, and pooling it would let a later run overwrite a recorded log.
+// releaseRunners returns the buffers newRunners took to eventBufs.
 func releaseRunners(runners []runner) {
-	for i := range runners {
-		r := &runners[i]
-		if r.own != nil {
-			eventBufs.Put(r.own)
-			r.own, r.buf = nil, nil
-		}
+	for _, r := range runners {
+		eventBufs.Put(r.buf)
 	}
 }
 
@@ -295,20 +258,7 @@ func (e *engine) refill(r *runner) error {
 		default:
 		}
 	}
-	switch {
-	case r.win != nil:
-		// Zero-copy path: point the runner at the source's own storage.
-		// The window is at most batchCap long, so the poll cadence and
-		// budget-trip granularity match the buffered path.
-		w := r.win.NextWindow(batchCap)
-		r.buf = w
-		r.n = len(w)
-	case r.batch != nil:
-		r.n = r.batch.NextBatch(r.buf)
-	default:
-		r.buf[0] = r.src.Next()
-		r.n = 1
-	}
+	r.n = r.src.NextBatch(r.buf[:])
 	r.pos = 0
 	return nil
 }

@@ -116,32 +116,3 @@ func TestConcurrentReuseMatchesSerial(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestReplayAfterUnrelatedRuns pins the window rule: a recording run's
-// runners read the checkpoint log's own storage, which must never reach
-// the event-buffer pool. Three unrelated runs take pooled buffers after
-// the recording; had a log window been pooled they would overwrite the
-// recorded events, and the replay would no longer equal the cold run.
-func TestReplayAfterUnrelatedRuns(t *testing.T) {
-	b, as := reuseShapes(t)
-	rcfg := b.cfg
-	rcfg.Record = true
-	rec, err := Run(b.prog, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range as[:3] {
-		a.run(t)
-	}
-	cold := b.run(t)
-	if !reflect.DeepEqual(stripCheckpoint(rec), *cold) {
-		t.Fatalf("recording run differs from cold run: %s", diffResults(rec, cold))
-	}
-	forked, err := Fork(rec.Checkpoint, b.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forked, cold) {
-		t.Fatalf("replay after unrelated runs differs from cold run: %s", diffResults(forked, cold))
-	}
-}

@@ -169,6 +169,12 @@ func (s *scriptSource) Next() workload.Event {
 	return s.evs[s.pos-1]
 }
 
+// NextBatch delivers one event per call.
+func (s *scriptSource) NextBatch(buf []workload.Event) int {
+	buf[0] = s.Next()
+	return 1
+}
+
 // TestSampledScripted pins two orders that stream-built programs
 // cannot reach, with hand-written event scripts.
 //

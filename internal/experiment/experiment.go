@@ -97,13 +97,6 @@ type Rig struct {
 	// and baseline-equivalent scenarios so those share caches bit for
 	// bit with each other.
 	scenarioDigest string
-
-	// fork, when non-nil, caches warm-state checkpoints keyed by
-	// (app, n, seed, scale) so a sweep point forks from a completed
-	// neighbor's recorded event logs instead of regenerating them (see
-	// fork.go and cmp.Checkpoint). Shared by clones like the memo.
-	// Enable with EnableFork; forked and cold runs are bit-identical.
-	fork *forkCache
 }
 
 // Clone returns an independent copy of the rig for concurrent use. The
@@ -134,8 +127,8 @@ func (r *Rig) cloneFor(salt string) *Rig {
 // thermal model (and its factorization), meter, and calibration are all
 // functions of the chip alone — so the clone shares every expensive
 // structure and skips the rebuild-and-recalibrate cost of NewRig
-// entirely. The memo and fork caches are shared too: both key on scale,
-// so entries never cross scales. The server's rig pool uses this to make
+// entirely. The memo is shared too: it keys on scale, so entries never
+// cross scales. The server's rig pool uses this to make
 // new-scale requests cost a struct copy instead of a calibration.
 func (r *Rig) CloneForScale(scale float64) (*Rig, error) {
 	if !(scale > 0) {
@@ -259,8 +252,8 @@ func (r *Rig) runConfig(ctx context.Context, app splash.App, n int, p dvfs.Opera
 // pipeline: runConfig assembles the configuration, tune (when non-nil)
 // sets the caller's own fields on it, and evaluateRun prices the run on
 // the rig's chip. It returns the engine result and its power/thermal
-// evaluation. Unlike RunApp it is never memoized, forked, replayed
-// through DTM or fed to the surrogate, whose keys cannot see what tune
+// evaluation. Unlike RunApp it is never memoized, replayed through DTM
+// or fed to the surrogate, whose keys cannot see what tune
 // changed, and it draws no run-level injected failure.
 func (r *Rig) Simulate(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, tune func(*cmp.Config)) (*cmp.Result, *power.Result, error) {
 	cfg := r.runConfig(ctx, app, n, p, r.Seed)
@@ -340,49 +333,9 @@ func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.Operatin
 			return nil, fail("inject", err)
 		}
 	}
-	cfg := r.runConfig(ctx, app, n, p, seed)
-	prog := app.Program(r.Scale)
-	var fk forkKey
-	recording := false
-	if r.fork != nil && r.memoizable() {
-		// Warm-state forking: replay a completed neighbor's recorded
-		// event logs when one exists for this (app, n, seed, scale)
-		// column; otherwise run cold, and — if this run holds the
-		// column's single recording reservation — capture the logs for
-		// the neighbors still to come. Active fault injection skips this
-		// entire block (memoizable is false), so faulty runs are never
-		// recorded or replayed, only ever simulated from scratch.
-		prog = r.fork.program(app, r.Scale)
-		fk = forkKey{app: app.Name, n: n, seed: seed, scale: r.Scale}
-		cp, reserve := r.fork.acquire(fk)
-		if cp != nil && cp.CompatibleWith(prog, n, seed) == nil {
-			cfg.Replay = cp
-			r.Obs.VolatileCounter("sweep_fork_hits").Add(1)
-			r.Obs.VolatileHistogram("sweep_fork_distance_rungs", forkDistanceBounds).
-				Observe(rungDistance(r.Table, cp.Point(), p))
-		} else {
-			r.Obs.VolatileCounter("sweep_fork_misses").Add(1)
-			if reserve {
-				cfg.Record = true
-				recording = true
-				// The reservation must not leak if the run fails or
-				// panics: later runs of this column would then never
-				// record. fulfill flips recording off on success below.
-				defer func() {
-					if recording {
-						r.fork.abandon(fk)
-					}
-				}()
-			}
-		}
-	}
-	res, err := cmp.Run(prog, cfg)
+	res, err := cmp.Run(app.Program(r.Scale), r.runConfig(ctx, app, n, p, seed))
 	if err != nil {
 		return nil, fail("simulate", err)
-	}
-	if recording && res.Checkpoint != nil {
-		r.fork.fulfill(fk, res.Checkpoint)
-		recording = false
 	}
 	pw, err := r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, n)
 	if err != nil {

@@ -143,7 +143,7 @@ func TestRunSurrogateMode(t *testing.T) {
 
 // TestExactModeUnchangedBySurrogate: exact-mode responses are
 // byte-identical with the surrogate on, off, and spelled "exact" — the
-// fast path must be invisible unless asked for (doctor check 15 proves
+// fast path must be invisible unless asked for (doctor check 14 proves
 // the same across worker counts).
 func TestExactModeUnchangedBySurrogate(t *testing.T) {
 	on := New(Config{Workers: 2})
