@@ -2,7 +2,6 @@ package dvfs
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Domain is one voltage/frequency island of a multi-domain chip: a named
@@ -148,14 +147,5 @@ func (ds *DomainSet) Settings(t *Table) []*Setting {
 		p := ds.PointFor(t, di, t.Nominal())
 		out[di] = &Setting{Point: p, Nominal: p}
 	}
-	return out
-}
-
-// SortedCores returns domain di's cores in ascending order (the
-// declaration order of Domain.Cores is caller-chosen).
-func (ds *DomainSet) SortedCores(di int) []int {
-	out := make([]int, len(ds.domains[di].Cores))
-	copy(out, ds.domains[di].Cores)
-	sort.Ints(out)
 	return out
 }

@@ -185,11 +185,6 @@ type Setting struct {
 	Nominal OperatingPoint
 }
 
-// NewSetting returns a Setting pinned at the table's nominal point.
-func NewSetting(t *Table) *Setting {
-	return &Setting{Point: t.Nominal(), Nominal: t.Nominal()}
-}
-
 // Set moves the chip to operating point p.
 func (s *Setting) Set(p OperatingPoint) { s.Point = p }
 
@@ -211,22 +206,6 @@ func (s *Setting) Request(p OperatingPoint, tf TransitionFault) (OperatingPoint,
 	}
 	s.Point = p
 	return p, true
-}
-
-// CycleTime returns the duration of one chip cycle in seconds.
-func (s *Setting) CycleTime() float64 { return 1 / s.Point.Freq }
-
-// CyclesForTime converts a wall-clock duration (seconds) into chip cycles
-// at the current frequency, rounding up. This is how a fixed-latency
-// off-chip memory access is charged to the scaled chip: the number of
-// cycles shrinks as frequency drops (paper §3.1).
-func (s *Setting) CyclesForTime(seconds float64) int64 {
-	return int64(math.Ceil(seconds * s.Point.Freq))
-}
-
-// TimeForCycles converts chip cycles to seconds at the current frequency.
-func (s *Setting) TimeForCycles(cycles int64) float64 {
-	return float64(cycles) / s.Point.Freq
 }
 
 // SpeedRatio returns current frequency over nominal frequency.

@@ -183,10 +183,6 @@ func New(cfg Config) *Server {
 	}
 }
 
-// SurrogateStore exposes the server's fit store (nil when SurrogateOff);
-// the analyze command and tests read fits and refusal reasons off it.
-func (s *Server) SurrogateStore() *surrogate.Store { return s.surr }
-
 // Handler returns the server's routing handler (also usable under
 // httptest).
 func (s *Server) Handler() http.Handler {

@@ -271,25 +271,3 @@ func (s *Store) Samples(key Key) []Sample {
 	})
 	return out
 }
-
-// Keys returns the known keys in deterministic order.
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]Key, 0, len(s.buckets))
-	for k := range s.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		switch {
-		case a.App != b.App:
-			return a.App < b.App
-		case a.Scale != b.Scale:
-			return a.Scale < b.Scale
-		default:
-			return a.Config < b.Config
-		}
-	})
-	return keys
-}
