@@ -84,9 +84,9 @@ type endToEndBench struct {
 // fig3+fig4 campaign cold (memo disabled — every run simulates) against
 // the same campaign warm (memoization on, so repeated runs are served
 // from the memo). Outputs are bit-identical either way
-// (TestMemoDedupesRepeatedRuns holds that), so the only thing this measures
-// is wall-clock. The Speedup ratio is gated by scripts/benchgate like the
-// engine and thermal ratios.
+// (TestMemoDedupesRepeatedRuns holds that), so the only thing this
+// measures is wall-clock. The Speedup ratio is gated by scripts/benchgate
+// like the engine and thermal ratios.
 type sweepBench struct {
 	Config      string  `json:"config"`
 	ColdSeconds float64 `json:"cold_seconds"`
