@@ -11,11 +11,10 @@ import (
 
 // checkScenario is doctor check 15: the scenario IR's three contracts.
 //
-//  1. Baseline fidelity: a rig built from the baseline scenario document
-//     keeps the legacy cache identity (an empty digest) and the baseline
-//     name, calibrates and measures bit-identically to the legacy
-//     flag-era rig, and a scenario sweep is bit-identical across worker
-//     counts.
+//  1. Baseline fidelity: a renamed baseline document collapses to the
+//     baseline's cache identity (an empty digest, IsBaseline) and keeps
+//     its own name, calibrates and measures bit-identically to NewRig,
+//     and a scenario sweep is bit-identical across worker counts.
 //  2. Identity: the content digest is deterministic, blind to syntactic
 //     variants (a fully-spelled-out document and a defaulted one hash
 //     equal), sees through the name for cache identity (IsBaseline),
@@ -25,38 +24,40 @@ import (
 //     and equal watts peak hotter.
 func checkScenario() error {
 	// 1. Baseline fidelity.
-	legacy, err := experiment.NewRig(0.05)
+	baseline, err := experiment.NewRig(0.05)
 	if err != nil {
 		return err
 	}
-	fromScenario, err := experiment.NewRigFromScenario(scenario.Baseline(), 0.05)
+	renamed := scenario.Baseline()
+	renamed.Name = "someone-elses-baseline"
+	fromRenamed, err := experiment.NewRigFromScenario(renamed, 0.05)
 	if err != nil {
 		return err
 	}
-	if d := fromScenario.ScenarioDigest(); d != "" {
-		return fmt.Errorf("baseline scenario digest %q, want empty (legacy cache identity)", d)
+	if d := fromRenamed.ScenarioDigest(); d != "" {
+		return fmt.Errorf("renamed baseline digest %q, want empty (the baseline cache identity)", d)
 	}
-	if name := fromScenario.ScenarioName(); name != "baseline-2005" {
-		return fmt.Errorf("baseline scenario named %q", name)
+	if name := fromRenamed.Scenario.Name; name != renamed.Name {
+		return fmt.Errorf("renamed baseline rig named %q, want %q", name, renamed.Name)
 	}
-	if *fromScenario.Cal != *legacy.Cal {
-		return fmt.Errorf("baseline scenario calibration differs: %+v vs %+v", fromScenario.Cal, legacy.Cal)
+	if *fromRenamed.Cal != *baseline.Cal {
+		return fmt.Errorf("renamed baseline calibration differs: %+v vs %+v", fromRenamed.Cal, baseline.Cal)
 	}
 	apps, err := appsFor("FFT,FMM")
 	if err != nil {
 		return err
 	}
 	for _, app := range apps {
-		want, err := legacy.RunApp(app, 4, legacy.Table.Nominal())
+		want, err := baseline.RunApp(app, 4, baseline.Table.Nominal())
 		if err != nil {
 			return err
 		}
-		got, err := fromScenario.RunApp(app, 4, fromScenario.Table.Nominal())
+		got, err := fromRenamed.RunApp(app, 4, fromRenamed.Table.Nominal())
 		if err != nil {
 			return err
 		}
 		if *want != *got {
-			return fmt.Errorf("%s: baseline scenario rig diverged from legacy rig: %+v vs %+v", app.Name, got, want)
+			return fmt.Errorf("%s: renamed baseline rig diverged from NewRig: %+v vs %+v", app.Name, got, want)
 		}
 	}
 
@@ -93,8 +94,6 @@ func checkScenario() error {
 	if d1 != d2 {
 		return fmt.Errorf("syntactic variants of the baseline hash differently: %s vs %s", d1, d2)
 	}
-	renamed := scenario.Baseline()
-	renamed.Name = "someone-elses-baseline"
 	if base, err := renamed.IsBaseline(); err != nil || !base {
 		return fmt.Errorf("renamed baseline not recognized as baseline (err=%v)", err)
 	}

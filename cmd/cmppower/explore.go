@@ -41,32 +41,29 @@ func runExplore(args []string) error {
 	if err != nil {
 		return err
 	}
-	var outs []explore.Outcome
-	var cells []explore.SourcedOutcome
+	// -surrogate warms per-app fits on the chip first; the store they
+	// land in is what lets the exploration prune.
+	var store *surrogate.Store
+	var keyFor func(string) surrogate.Key
 	if *useSurr {
 		rig, err := scnF.rig(*scale)
 		if err != nil {
 			return err
 		}
 		rig.EnableMemo()
-		store := surrogate.NewStore(surrogate.Options{Registry: obsF.registry()})
+		store = surrogate.NewStore(surrogate.Options{Registry: obsF.registry()})
 		rig.Surrogate = store
 		if err := warmSurrogateGrid(context.Background(), rig, apps); err != nil {
 			return err
 		}
-		cells, err = explore.ExploreSurrogateScenario(context.Background(), apps, explore.StandardOptions(),
-			sc, *scale, *jobs, obsF.registry(), store, rig.SurrogateKey)
-		if err != nil {
-			return err
-		}
-		outs = explore.Outcomes(cells)
-	} else {
-		var err error
-		outs, err = explore.ExploreScenario(context.Background(), apps, explore.StandardOptions(), sc, *scale, *jobs, obsF.registry())
-		if err != nil {
-			return err
-		}
+		keyFor = rig.SurrogateKey
 	}
+	cells, err := explore.Explore(context.Background(), apps, explore.StandardOptions(),
+		sc, *scale, *jobs, obsF.registry(), store, keyFor)
+	if err != nil {
+		return err
+	}
+	outs := explore.Outcomes(cells)
 	header := []string{"app", "option", "cores(threads)", "time(ms)", "power(W)", "energy(mJ)", "EDP(uJ*s)", "speedup-vs-16x"}
 	if *useSurr {
 		header = append(header, "source")

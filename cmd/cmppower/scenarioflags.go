@@ -12,11 +12,10 @@ import (
 // scenarioFlags is the shared -scenario plumbing of the simulation
 // commands (fig3, fig4, explore): one flag spelling, one loader, one
 // rig constructor, one manifest annotation. Without the flag every
-// command runs the legacy constructor and annotates nothing, so the
-// flagless outputs and manifests stay byte-identical; with a
-// baseline-equivalent scenario file the sweep ladder and apparatus
-// resolve to the same values, so stdout stays byte-identical too (the
-// scenario-smoke script pins this).
+// command runs the baseline chip and annotates nothing, so the flagless
+// manifests keep their bytes; with a baseline-equivalent scenario file
+// the sweep ladder and apparatus resolve to the same values, so stdout
+// stays byte-identical too (the scenario-smoke script pins this).
 type scenarioFlags struct {
 	path *string
 	sc   *scenario.Scenario
@@ -45,15 +44,12 @@ func (s *scenarioFlags) scenario() (*scenario.Scenario, error) {
 	return s.sc, nil
 }
 
-// rig builds the command's apparatus: the legacy calibrated rig when no
-// -scenario was given, the scenario's chip otherwise.
+// rig builds the command's apparatus: the scenario's chip, or the
+// baseline chip when no -scenario was given.
 func (s *scenarioFlags) rig(scale float64) (*cmppower.Experiment, error) {
 	sc, err := s.scenario()
 	if err != nil {
 		return nil, err
-	}
-	if sc == nil {
-		return cmppower.NewExperiment(scale)
 	}
 	return cmppower.NewExperimentFromScenario(sc, scale)
 }
@@ -79,7 +75,7 @@ func (s *scenarioFlags) counts() ([]int, error) {
 }
 
 // annotate folds the scenario identity (name + content digest) into a
-// manifest config map. A no-op without -scenario, so legacy manifests
+// manifest config map. A no-op without -scenario, so flagless manifests
 // keep their exact canonical bytes (doctor check 11 compares them
 // across -j).
 func (s *scenarioFlags) annotate(config map[string]string) (map[string]string, error) {

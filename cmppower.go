@@ -156,9 +156,6 @@ func LoadScenario(path string) (*ChipScenario, error) {
 // scenario describes. A nil scenario (or the baseline document) is the
 // paper's 16-way CMP — identical to NewExperiment.
 func NewExperimentFromScenario(sc *ChipScenario, scale float64) (*Experiment, error) {
-	if sc == nil {
-		return experiment.NewRig(scale)
-	}
 	return experiment.NewRigFromScenario(sc, scale)
 }
 

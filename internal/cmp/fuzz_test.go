@@ -14,9 +14,10 @@ import (
 // running for minutes.
 const fuzzMaxEvents = 1 << 14
 
-// fuzzMaxID bounds the barrier and lock ids FuzzEngineEquivalence runs:
-// the engine sizes its barrier and lock tables by the largest id, so a
-// generated id in the billions would ask for gigabytes.
+// fuzzMaxID bounds the barrier and lock ids FuzzEngineEquivalence runs.
+// workload.Validate already rejects ids above 1<<16 - 1 (the engine sizes
+// its barrier and lock tables by the largest id); the tighter bound keeps
+// each of the many runs per input small.
 const fuzzMaxID = 1 << 10
 
 // FuzzEngineEquivalence runs generated programs on the fused engine and

@@ -15,7 +15,7 @@ import (
 const pipelineScale = 0.05
 
 // pipelineChip is one chip of the table: its scenario (nil for the
-// flag-era baseline) and whether its cores differ.
+// baseline) and whether its cores differ.
 type pipelineChip struct {
 	name   string
 	sc     *scenario.Scenario
@@ -47,13 +47,7 @@ func pipelineChips(t *testing.T) []pipelineChip {
 
 func pipelineRig(t *testing.T, sc *scenario.Scenario) *experiment.Rig {
 	t.Helper()
-	var rig *experiment.Rig
-	var err error
-	if sc == nil {
-		rig, err = experiment.NewRig(pipelineScale)
-	} else {
-		rig, err = experiment.NewRigFromScenario(sc, pipelineScale)
-	}
+	rig, err := experiment.NewRigFromScenario(sc, pipelineScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +159,7 @@ func TestEntryPointsHonourChip(t *testing.T) {
 					opt = o
 				}
 			}
-			outs, err := explore.ExploreScenario(ctx, []splash.App{radix}, []explore.Option{opt}, chip.sc, pipelineScale, 1, nil)
+			outs, err := explore.Explore(ctx, []splash.App{radix}, []explore.Option{opt}, chip.sc, pipelineScale, 1, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,8 +26,9 @@ import (
 	"cmppower/internal/thermal"
 )
 
-// Rig bundles the experimental apparatus: the Table 1 chip, its thermal
-// model, the calibrated power meter, and the DVFS ladder.
+// Rig bundles the experimental apparatus: the chip its scenario
+// describes (the paper's Table 1 chip by default), its thermal model, the
+// calibrated power meter, and the DVFS ladder.
 type Rig struct {
 	Tech       phys.Technology
 	Table      *dvfs.Table
@@ -85,17 +86,17 @@ type Rig struct {
 	// store is concurrency-safe.
 	Surrogate *surrogate.Store
 
-	// Scenario, when non-nil, is the declarative chip description this
-	// rig was built from (NewRigFromScenario); the apparatus fields above
-	// are derived from it. Nil for flag-era rigs.
+	// Scenario is the declarative chip description this rig was built
+	// from (NewRigFromScenario); the apparatus fields above are derived
+	// from it. Never nil.
 	Scenario *scenario.Scenario
 	// Domains holds the chip's DVFS islands when the scenario declares
 	// them; nil is the paper's single global domain.
 	Domains *dvfs.DomainSet
 	// scenarioDigest is the scenario's cache identity, folded into memo
-	// and surrogate keys (see ScenarioDigest). Empty for flag-era rigs
-	// and baseline-equivalent scenarios so those share caches bit for
-	// bit with each other.
+	// and surrogate keys (see ScenarioDigest). Empty for
+	// baseline-equivalent scenarios so every build of the paper's chip
+	// shares caches bit for bit.
 	scenarioDigest string
 }
 
@@ -122,62 +123,9 @@ func (r *Rig) cloneFor(salt string) *Rig {
 	return &c
 }
 
-// CloneForScale returns a clone of the rig serving a different workload
-// scale. Nothing in the apparatus depends on the scale — the floorplan,
-// thermal model (and its factorization), meter, and calibration are all
-// functions of the chip alone — so the clone shares every expensive
-// structure and skips the rebuild-and-recalibrate cost of NewRig
-// entirely. The memo is shared too: it keys on scale, so entries never
-// cross scales. The server's rig pool uses this to make
-// new-scale requests cost a struct copy instead of a calibration.
-func (r *Rig) CloneForScale(scale float64) (*Rig, error) {
-	if !(scale > 0) {
-		return nil, fmt.Errorf("experiment: invalid scale %g", scale)
-	}
-	c := r.cloneFor(fmt.Sprintf("scale/%g", scale))
-	c.Scale = scale
-	return c, nil
-}
-
-// NewRig builds and calibrates the default 16-core 65 nm apparatus.
-func NewRig(scale float64) (*Rig, error) {
-	return NewCustomRig(16, scale)
-}
-
-// NewCustomRig builds and calibrates an apparatus for a chip with the
-// given physical core count on the Table 1 die (used by the design-space
-// exploration: the die area and thermal envelope stay fixed while the
-// organization varies).
-func NewCustomRig(totalCores int, scale float64) (*Rig, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive scale %g", scale)
-	}
-	tech := phys.Tech65()
-	tab, err := dvfs.PentiumMStyle(tech)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := floorplan.Chip(floorplan.DefaultChipConfig(totalCores))
-	if err != nil {
-		return nil, err
-	}
-	tm, err := thermal.NewModel(fp, thermal.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	meter, err := power.NewMeter(tech)
-	if err != nil {
-		return nil, err
-	}
-	cal, err := meter.Calibrate(fp, tm, tab.Nominal())
-	if err != nil {
-		return nil, err
-	}
-	return &Rig{
-		Tech: tech, Table: tab, FP: fp, TM: tm, Meter: meter, Cal: cal,
-		TotalCores: totalCores, Scale: scale, Seed: 1,
-	}, nil
-}
+// NewRig builds and calibrates the paper's Table 1 apparatus: the
+// baseline scenario's chip (see NewRigFromScenario).
+func NewRig(scale float64) (*Rig, error) { return NewRigFromScenario(nil, scale) }
 
 // BudgetW returns the Scenario II power budget: the maximum nominal power
 // consumption of a single core, from the calibration microbenchmark

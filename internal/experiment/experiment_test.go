@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"cmppower/internal/phys"
@@ -29,11 +28,10 @@ func app(t *testing.T, name string) splash.App {
 }
 
 func TestNewRigValidation(t *testing.T) {
-	if _, err := NewRig(0); err == nil {
-		t.Error("accepted zero scale")
-	}
-	if _, err := NewRig(-1); err == nil {
-		t.Error("accepted negative scale")
+	for _, bad := range []float64{0, -1, math.NaN()} {
+		if _, err := NewRig(bad); err == nil {
+			t.Errorf("accepted scale %g", bad)
+		}
 	}
 }
 
@@ -47,53 +45,6 @@ func TestRigCalibration(t *testing.T) {
 	}
 	if rig.Table.Nominal().Freq != 3.2e9 {
 		t.Fatalf("nominal frequency %g", rig.Table.Nominal().Freq)
-	}
-}
-
-// TestCloneForScale pins the derived-rig contract: a rig cloned to a new
-// scale measures exactly what a freshly constructed rig at that scale
-// measures, and shares the base rig's memo and substrates.
-func TestCloneForScale(t *testing.T) {
-	base := testRig(t)
-	base.EnableMemo()
-
-	const scale = 0.08
-	derived, err := base.CloneForScale(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived.Scale != scale {
-		t.Fatalf("derived scale %g, want %g", derived.Scale, scale)
-	}
-	if derived.memo != base.memo {
-		t.Error("CloneForScale dropped the shared memo")
-	}
-	if derived.Meter != base.Meter || derived.TM != base.TM || derived.Table != base.Table {
-		t.Error("CloneForScale copied an immutable substrate")
-	}
-
-	fresh, err := NewRig(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 4} {
-		a, err := derived.RunApp(app(t, "FFT"), n, base.Table.Nominal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fresh.RunApp(app(t, "FFT"), n, fresh.Table.Nominal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("n=%d: derived rig measurement differs from fresh rig:\n  %+v\n  %+v", n, a, b)
-		}
-	}
-
-	for _, bad := range []float64{0, -1, math.NaN()} {
-		if _, err := base.CloneForScale(bad); err == nil {
-			t.Errorf("CloneForScale accepted scale %g", bad)
-		}
 	}
 }
 

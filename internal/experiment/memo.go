@@ -30,9 +30,10 @@ type memoKey struct {
 	dtmOn      bool
 	dtm        DTMConfig
 	faults     string
-	// scenario is the rig's scenario digest: empty for flag-era rigs and
-	// baseline-equivalent scenarios (so those share entries), the full
-	// content digest otherwise — two different chips can never collide.
+	// scenario is the rig's scenario digest: empty for baseline-equivalent
+	// scenarios (so every build of the paper's chip shares entries), the
+	// full content digest otherwise — two different chips can never
+	// collide.
 	scenario string
 }
 

@@ -87,7 +87,7 @@ var ErrUnsupportedChip = errors.New("experiment: chip not supported by this expe
 // class that changes the core (scenario.Heterogeneous) it returns an
 // error matching ErrUnsupportedChip.
 func (r *Rig) Placement(app splash.App, n int) (*PlacementStudy, error) {
-	if r.Scenario != nil && r.Scenario.Heterogeneous() {
+	if r.Scenario.Heterogeneous() {
 		return nil, fmt.Errorf("%w: placement assumes interchangeable cores, and %s has DVFS islands or core classes",
 			ErrUnsupportedChip, r.Scenario.Name)
 	}

@@ -15,30 +15,33 @@ import (
 // NewRigFromScenario builds and calibrates the apparatus described by a
 // declarative scenario (see internal/scenario): technology node, die
 // geometry and 3D stacking, DVFS ladder and domains, core mix, thermal
-// constants, memory switches. A nil scenario (and the baseline scenario)
-// produces the paper's Table 1 apparatus; the baseline case is
-// bit-identical to NewCustomRig because every scenario→config conversion
-// below is exact at the defaults (200 MHz steps and 15.6 mm dies convert
-// to hertz and meters without rounding), pinned by doctor check 15.
+// constants, memory switches. It is the only rig constructor; a nil
+// scenario means scenario.Baseline(), the paper's Table 1 apparatus.
 func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
-	if sc == nil {
-		return NewRig(scale)
+	if !(scale > 0) {
+		return nil, fmt.Errorf("experiment: invalid scale %g", scale)
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive scale %g", scale)
+	if sc == nil {
+		sc = scenario.Baseline()
 	}
 	sc = sc.Clone()
 	sc.Normalize()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	digest, err := sc.Digest()
-	if err != nil {
-		return nil, err
-	}
+	// Baseline-equivalent scenarios keep the empty digest so every build
+	// of the paper's chip shares every cache (memo, surrogate, server
+	// responses); any other chip gets its content digest and can never
+	// collide with a different chip's entries.
 	baseline, err := sc.IsBaseline()
 	if err != nil {
 		return nil, err
+	}
+	digest := ""
+	if !baseline {
+		if digest, err = sc.Digest(); err != nil {
+			return nil, err
+		}
 	}
 	tech := sc.Technology()
 	tab, err := dvfs.NewTable(tech, sc.DVFS.LadderMinMHz*1e6, tech.FNominal, sc.DVFS.LadderStepMHz*1e6)
@@ -78,13 +81,7 @@ func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
 		Prefetch:            sc.Memory.Prefetch,
 		QuantizeLadder:      sc.DVFS.Quantize,
 		Scenario:            sc,
-	}
-	if !baseline {
-		// Baseline-equivalent scenarios keep the empty digest so their
-		// runs share every cache (memo, surrogate, server responses) with
-		// flag-era runs; any other chip gets its content digest and can
-		// never collide with a different chip's entries.
-		r.scenarioDigest = digest
+		scenarioDigest:      digest,
 	}
 	if len(sc.DVFS.Domains) > 0 {
 		doms := make([]dvfs.Domain, len(sc.DVFS.Domains))
@@ -105,26 +102,19 @@ func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
 }
 
 // ScenarioDigest returns the rig's scenario cache identity: empty for
-// flag-era rigs and for scenarios canonically equal to the baseline
-// chip, the full sha256 hex digest otherwise. It is folded into memo
-// keys, surrogate keys, and the server's rig pool.
+// scenarios canonically equal to the baseline chip, the full sha256 hex
+// digest otherwise. It is folded into memo keys, surrogate keys, and the
+// server's rig pool.
 func (r *Rig) ScenarioDigest() string { return r.scenarioDigest }
-
-// ScenarioName returns the attached scenario's name ("" for flag-era
-// rigs). Manifests record it next to the digest.
-func (r *Rig) ScenarioName() string {
-	if r.Scenario == nil {
-		return ""
-	}
-	return r.Scenario.Name
-}
 
 // perCoreConfigs expands the run's base core config into per-core
 // configs when the scenario makes cores differ — DVFS-domain speed
 // ratios and big/little class overrides — and returns nil for
-// homogeneous chips so the legacy uniform path is untouched.
+// homogeneous chips so they keep the uniform path. A chip with neither
+// islands nor a class assignment is homogeneous by construction and
+// allocates nothing.
 func (r *Rig) perCoreConfigs(base cpu.Config, n int) []cpu.Config {
-	if r.Scenario == nil {
+	if r.Domains == nil && len(r.Scenario.Cores.Assign) == 0 {
 		return nil
 	}
 	hetero := false
@@ -145,19 +135,17 @@ func (r *Rig) perCoreConfigs(base cpu.Config, n int) []cpu.Config {
 // on physical core c: its big/little class overrides and its DVFS
 // island's speed ratio.
 func (r *Rig) chipCore(cc cpu.Config, c int) cpu.Config {
-	if r.Scenario != nil {
-		if cl := r.Scenario.ClassOf(c); cl != nil {
-			if cl.IssueWidth > 0 {
-				cc.IssueWidth = cl.IssueWidth
-			}
-			if s := cl.IPCScale; s != 0 && s != 1 {
-				cc.IPCNonMem *= s
-			}
-			// A narrow core caps the app's dependence-limited IPC at its
-			// own width.
-			if cc.IPCNonMem > float64(cc.IssueWidth) {
-				cc.IPCNonMem = float64(cc.IssueWidth)
-			}
+	if cl := r.Scenario.ClassOf(c); cl != nil {
+		if cl.IssueWidth > 0 {
+			cc.IssueWidth = cl.IssueWidth
+		}
+		if s := cl.IPCScale; s != 0 && s != 1 {
+			cc.IPCNonMem *= s
+		}
+		// A narrow core caps the app's dependence-limited IPC at its own
+		// width.
+		if cc.IPCNonMem > float64(cc.IssueWidth) {
+			cc.IPCNonMem = float64(cc.IssueWidth)
 		}
 	}
 	if r.Domains != nil {

@@ -84,7 +84,9 @@ func TestScenarioBigLittleRuns(t *testing.T) {
 	if rig.Domains == nil || rig.Domains.Len() != 2 {
 		t.Fatal("domain set not built")
 	}
-	base, err := NewCustomRig(8, 0.05)
+	uniform := scenario.Baseline()
+	uniform.Chip.TotalCores = 8
+	base, err := NewRigFromScenario(uniform, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestScenario3DStackRuns(t *testing.T) {
 }
 
 // A one-domain scenario must take the chip-wide DTM path and reproduce
-// the legacy controller's stats exactly.
+// the baseline chip's controller stats exactly.
 func TestDTMSingleDomainMatchesChipWide(t *testing.T) {
 	sc := scenario.Baseline()
 	sc.Name = "one-domain"
@@ -181,12 +183,12 @@ func TestDTMSingleDomainMatchesChipWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewRig(0.05)
+	chipWide, err := NewRig(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dtm := DefaultDTMConfig()
-	rig.DTM, legacy.DTM = &dtm, &dtm
+	rig.DTM, chipWide.DTM = &dtm, &dtm
 	ap := scenApp(t, "FMM")
 	// Overclock-ish request: top of ladder so the controller has work.
 	p := rig.Table.Nominal()
@@ -194,7 +196,7 @@ func TestDTMSingleDomainMatchesChipWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacy.RunApp(ap, 16, p)
+	want, err := chipWide.RunApp(ap, 16, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ func (r *Rig) SurrogateConfig() string {
 	s := fmt.Sprintf("tc%d sys=%t pf=%t", r.TotalCores, r.ScaleMemoryWithChip, r.Prefetch)
 	if r.scenarioDigest != "" {
 		// Non-baseline scenarios carry their content digest so fits never
-		// pool samples across different chips; the empty-digest case keeps
-		// the legacy key string byte-identical.
+		// pool samples across different chips; the baseline chip keeps its
+		// digest-free key string.
 		s += " scn=" + r.scenarioDigest
 	}
 	return s

@@ -19,6 +19,7 @@ import (
 	"cmppower/internal/obs"
 	"cmppower/internal/scenario"
 	"cmppower/internal/splash"
+	"cmppower/internal/surrogate"
 )
 
 // Option is one chip organization.
@@ -94,43 +95,29 @@ func maxThreads(app splash.App, cores int) int {
 }
 
 // Explore evaluates every application on every organization at nominal
-// voltage/frequency and the given workload scale.
-func Explore(apps []splash.App, opts []Option, scale float64) ([]Outcome, error) {
-	return ExploreCtx(context.Background(), apps, opts, scale)
-}
-
-// ExploreCtx is Explore under a context: cancellation aborts the in-flight
-// simulation within one engine step and stops the sweep.
-func ExploreCtx(ctx context.Context, apps []splash.App, opts []Option, scale float64) ([]Outcome, error) {
-	return ExploreWith(ctx, apps, opts, scale, 1)
-}
-
-// ExploreWith is ExploreCtx across a bounded worker pool: every chip
-// organization is one work item (each already builds and calibrates its
-// own rig, so items share nothing mutable), fanned out over the given
-// number of workers (<= 0 means GOMAXPROCS) and merged back in option
-// order. Outcomes are bit-identical for every worker count.
-func ExploreWith(ctx context.Context, apps []splash.App, opts []Option, scale float64, workers int) ([]Outcome, error) {
-	return ExploreObs(ctx, apps, opts, scale, workers, nil)
-}
-
-// ExploreObs is ExploreWith with a metrics registry: every organization's
-// runs publish their engine counters into reg (shared across workers;
-// integer-only concurrent updates keep the snapshot identical at every
-// worker count). A nil registry makes it exactly ExploreWith.
-func ExploreObs(ctx context.Context, apps []splash.App, opts []Option, scale float64, workers int, reg *obs.Registry) ([]Outcome, error) {
-	return ExploreScenario(ctx, apps, opts, nil, scale, workers, reg)
-}
-
-// ExploreScenario is ExploreObs on a scenario chip. The exploration's
-// whole point is to vary the organization, so the scenario contributes
-// only its global axes — technology node, die geometry, 3D stacking,
-// thermal constants, DVFS ladder, memory switches — while each option
-// supersedes the organization axes: per-option rigs take the option's
-// core count, and the scenario's DVFS domains and core-class assignment
-// (which are tied to its own core count) are cleared. A nil scenario is
-// exactly ExploreObs.
-func ExploreScenario(ctx context.Context, apps []splash.App, opts []Option, sc *scenario.Scenario, scale float64, workers int, reg *obs.Registry) ([]Outcome, error) {
+// voltage/frequency and the given workload scale. Every organization is
+// one work item (each builds and calibrates its own rig, so items share
+// nothing mutable), fanned out over the given number of workers (<= 0
+// means GOMAXPROCS) and merged back in option order, then app order.
+// Outcomes are bit-identical for every worker count. Every run
+// publishes its engine counters into reg (nil-safe; integer-only
+// concurrent updates keep the snapshot identical at every worker count).
+//
+// The exploration's whole point is to vary the organization, so the
+// scenario sc (nil means scenario.Baseline()) contributes only its
+// global axes — technology node, die geometry, 3D stacking, thermal
+// constants, DVFS ladder, memory switches — while each option supersedes
+// the organization axes: per-option rigs take the option's core count,
+// and the scenario's DVFS domains and core-class assignment (which are
+// tied to its own core count) are cleared.
+//
+// A non-nil store and keyFor turn on surrogate-guided pruning (see
+// pruneCells): cells that clearly cannot win are answered from the
+// surrogate instead of simulated. A nil store prunes nothing, and every
+// cell is labelled "simulation".
+func Explore(ctx context.Context, apps []splash.App, opts []Option, sc *scenario.Scenario, scale float64,
+	workers int, reg *obs.Registry, store *surrogate.Store,
+	keyFor func(app string) surrogate.Key) ([]SourcedOutcome, error) {
 	if len(apps) == 0 || len(opts) == 0 {
 		return nil, fmt.Errorf("explore: empty sweep (%d apps, %d options)", len(apps), len(opts))
 	}
@@ -139,10 +126,31 @@ func ExploreScenario(ctx context.Context, apps []splash.App, opts []Option, sc *
 			return nil, err
 		}
 	}
+	// Speedups are relative to the 16x-ev6 organization (or the first
+	// option).
+	refName := opts[0].Name
+	for _, opt := range opts {
+		if opt.Name == "16x-ev6" {
+			refName = opt.Name
+		}
+	}
+	prune := pruneCells(apps, opts, refName, store, keyFor)
+
+	// Simulate what survived: per option, the apps not pruned for it. An
+	// option with every app pruned skips rig construction and calibration
+	// entirely — that is where pruning's speedup lives.
 	perOpt := make([][]Outcome, len(opts))
 	errs := make([]error, len(opts))
 	poolErr := experiment.RunIndexed(ctx, workers, len(opts), func(i int) {
-		perOpt[i], errs[i] = exploreOption(ctx, apps, opts[i], sc, scale, reg)
+		var sim []splash.App
+		for _, app := range apps {
+			if _, ok := prune[[2]string{opts[i].Name, app.Name}]; !ok {
+				sim = append(sim, app)
+			}
+		}
+		if len(sim) > 0 {
+			perOpt[i], errs[i] = exploreOption(ctx, sim, opts[i], sc, scale, reg)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -152,17 +160,32 @@ func ExploreScenario(ctx context.Context, apps []splash.App, opts []Option, sc *
 	if poolErr != nil {
 		return nil, poolErr
 	}
-	var out []Outcome
-	for _, outs := range perOpt {
-		out = append(out, outs...)
-	}
-	// Speedups relative to the 16x-ev6 organization (or the first option).
-	refName := opts[0].Name
-	for _, opt := range opts {
-		if opt.Name == "16x-ev6" {
-			refName = opt.Name
+
+	// Merge back into the full grid: simulated outcomes come back in the
+	// order their apps were handed out, so one cursor per option walks
+	// them.
+	var out []SourcedOutcome
+	for i, opt := range opts {
+		simd := perOpt[i]
+		for _, app := range apps {
+			if e, ok := prune[[2]string{opt.Name, app.Name}]; ok {
+				out = append(out, SourcedOutcome{
+					Outcome: Outcome{
+						Option: opt, App: app.Name, N: maxThreads(app, opt.Cores),
+						Seconds: e.pred.Seconds, PowerW: e.pred.PowerW,
+						EnergyJ: e.pred.EnergyJ, EDP: e.pred.EDP,
+					},
+					Source: "surrogate", Margin: e.margin,
+				})
+				reg.VolatileCounter("explore_cells_pruned_total").Add(1)
+				continue
+			}
+			out = append(out, SourcedOutcome{Outcome: simd[0], Source: "simulation"})
+			simd = simd[1:]
+			reg.VolatileCounter("explore_cells_simulated_total").Add(1)
 		}
 	}
+
 	ref := make(map[string]float64)
 	for _, o := range out {
 		if o.Option.Name == refName {
@@ -177,15 +200,14 @@ func ExploreScenario(ctx context.Context, apps []splash.App, opts []Option, sc *
 	return out, nil
 }
 
-// optionRig builds one organization's calibrated rig: the legacy Table 1
-// apparatus at the option's core count, or — under a scenario — the
-// scenario's chip with the organization axes overridden (see
-// ExploreScenario).
+// optionRig builds one organization's calibrated rig: the scenario's
+// chip (the baseline when sc is nil) with the organization axes
+// overridden (see Explore).
 func optionRig(opt Option, sc *scenario.Scenario, scale float64) (*experiment.Rig, error) {
-	if sc == nil {
-		return experiment.NewCustomRig(opt.Cores, scale)
+	c := scenario.Baseline()
+	if sc != nil {
+		c = sc.Clone()
 	}
-	c := sc.Clone()
 	c.Chip.TotalCores = opt.Cores
 	c.DVFS.Domains = nil
 	c.Cores = scenario.CoresSpec{}

@@ -21,6 +21,12 @@ func apps(t *testing.T, names ...string) []splash.App {
 	return out
 }
 
+// exact runs a fully simulated exploration of the baseline chip.
+func exact(ctx context.Context, as []splash.App, opts []Option, scale float64, workers int) ([]Outcome, error) {
+	cells, err := Explore(ctx, as, opts, nil, scale, workers, nil, nil, nil)
+	return Outcomes(cells), err
+}
+
 func TestOptionValidate(t *testing.T) {
 	for _, o := range StandardOptions() {
 		if err := o.Validate(); err != nil {
@@ -56,11 +62,11 @@ func TestMaxThreads(t *testing.T) {
 
 func TestExploreScalableAppPrefersManyCores(t *testing.T) {
 	// A well-scaling app should run fastest on the many-core options.
-	outs, err := Explore(apps(t, "Barnes"),
+	outs, err := exact(context.Background(), apps(t, "Barnes"),
 		[]Option{
 			{Name: "4x-wide", Cores: 4, IssueWidth: 8, IPCBoost: 1.5, L2Bytes: 4 << 20},
 			{Name: "16x-ev6", Cores: 16, IssueWidth: 4, IPCBoost: 1.0, L2Bytes: 4 << 20},
-		}, 0.15)
+		}, 0.15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,7 @@ func TestExploreScalableAppPrefersManyCores(t *testing.T) {
 }
 
 func TestExploreAllStandardOptions(t *testing.T) {
-	outs, err := Explore(apps(t, "FFT", "Radix"), StandardOptions(), 0.1)
+	outs, err := exact(context.Background(), apps(t, "FFT", "Radix"), StandardOptions(), 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,29 +119,30 @@ func TestExploreAllStandardOptions(t *testing.T) {
 }
 
 func TestExploreValidation(t *testing.T) {
-	if _, err := Explore(nil, StandardOptions(), 0.1); err == nil {
+	ctx := context.Background()
+	if _, err := exact(ctx, nil, StandardOptions(), 0.1, 1); err == nil {
 		t.Error("accepted empty apps")
 	}
-	if _, err := Explore(apps(t, "FFT"), nil, 0.1); err == nil {
+	if _, err := exact(ctx, apps(t, "FFT"), nil, 0.1, 1); err == nil {
 		t.Error("accepted empty options")
 	}
-	if _, err := Explore(apps(t, "FFT"), []Option{{}}, 0.1); err == nil {
+	if _, err := exact(ctx, apps(t, "FFT"), []Option{{}}, 0.1, 1); err == nil {
 		t.Error("accepted invalid option")
 	}
 }
 
-// TestExploreWithMatchesSerial: the pooled exploration must be
-// bit-identical to the serial one for every worker count, including the
-// post-pass speedup normalization that depends on the full result set.
-func TestExploreWithMatchesSerial(t *testing.T) {
+// TestExploreMatchesSerial: the pooled exploration must be bit-identical
+// to the serial one for every worker count, including the post-pass
+// speedup normalization that depends on the full result set.
+func TestExploreMatchesSerial(t *testing.T) {
 	as := apps(t, "FFT", "Radix")
 	opts := StandardOptions()[:3]
-	serial, err := ExploreWith(context.Background(), as, opts, 0.1, 1)
+	serial, err := exact(context.Background(), as, opts, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []int{2, 4, 8} {
-		parallel, err := ExploreWith(context.Background(), as, opts, 0.1, j)
+		parallel, err := exact(context.Background(), as, opts, 0.1, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,21 +150,13 @@ func TestExploreWithMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d outcomes diverged from serial:\n%+v\nvs\n%+v", j, serial, parallel)
 		}
 	}
-	// The legacy entry point is the single-worker form.
-	legacy, err := Explore(as, opts, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, legacy) {
-		t.Fatal("Explore diverged from ExploreWith(..., 1)")
-	}
 }
 
-// TestExploreWithCancellation: a dead context aborts the exploration.
-func TestExploreWithCancellation(t *testing.T) {
+// TestExploreCancellation: a dead context aborts the exploration.
+func TestExploreCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExploreWith(ctx, apps(t, "FFT"), StandardOptions()[:2], 0.1, 2); err == nil {
+	if _, err := exact(ctx, apps(t, "FFT"), StandardOptions()[:2], 0.1, 2); err == nil {
 		t.Fatal("cancelled exploration returned nil error")
 	}
 }

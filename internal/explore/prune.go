@@ -1,13 +1,8 @@
 package explore
 
 import (
-	"context"
-	"fmt"
 	"math"
 
-	"cmppower/internal/experiment"
-	"cmppower/internal/obs"
-	"cmppower/internal/scenario"
 	"cmppower/internal/splash"
 	"cmppower/internal/surrogate"
 )
@@ -34,58 +29,37 @@ type SourcedOutcome struct {
 // the winner.
 const PruneMargin = 3.0
 
-// ExploreSurrogate is ExploreObs with surrogate-guided pruning: cells
-// whose extrapolated energy-delay product loses to the per-app best by
-// more than PruneMargin are answered from the surrogate (labelled, no
-// bound) instead of simulated. Cells that are never pruned, regardless
-// of estimates:
+// estimate is a pruned cell's surrogate answer: the extrapolated run and
+// the factor by which its EDP lost to the app's best extrapolated EDP.
+type estimate struct {
+	pred   surrogate.Prediction
+	margin float64
+}
+
+// pruneCells picks the cells Explore answers from the surrogate instead
+// of simulating: those whose extrapolated energy-delay product, at the
+// fit's own nominal operating point, loses to the per-app best by more
+// than PruneMargin (each organization calibrates its own ladder, one
+// more gap PruneMargin has to cover). Cells that are never pruned,
+// regardless of estimates:
 //
-//   - the reference organization (16x-ev6 or the first option), which
-//     anchors every speedup;
+//   - the reference organization refName, which anchors every speedup;
 //   - organizations with more than 16 cores, where the efficiency curve
 //     is pure extrapolation beyond every trained count;
 //   - every cell of an app with no active fit under keyFor.
 //
-// The returned cells cover the full (option, app) grid in the same
-// order as ExploreObs, and BestByEDP over the simulated subset equals
-// BestByEDP over a full simulation whenever the margin holds — the
-// contract TestPrunedExploreAgreesWithFull enforces.
-func ExploreSurrogate(ctx context.Context, apps []splash.App, opts []Option, scale float64,
-	workers int, reg *obs.Registry, store *surrogate.Store,
-	keyFor func(app string) surrogate.Key) ([]SourcedOutcome, error) {
-	return ExploreSurrogateScenario(ctx, apps, opts, nil, scale, workers, reg, store, keyFor)
-}
-
-// ExploreSurrogateScenario is ExploreSurrogate on a scenario chip (see
-// ExploreScenario for how a scenario composes with the options). keyFor
-// must fold the scenario's digest into its keys — rig.SurrogateKey on a
-// scenario-built rig does — so fits trained on a different chip never
-// prune this one's cells.
-func ExploreSurrogateScenario(ctx context.Context, apps []splash.App, opts []Option, sc *scenario.Scenario,
-	scale float64, workers int, reg *obs.Registry, store *surrogate.Store,
-	keyFor func(app string) surrogate.Key) ([]SourcedOutcome, error) {
+// A nil store or keyFor prunes nothing. keyFor must fold the chip's
+// scenario digest into its keys — rig.SurrogateKey does — so fits
+// trained on a different chip never prune this one's cells. BestByEDP
+// over the simulated cells equals BestByEDP over a full simulation
+// whenever the margin holds — the contract
+// TestPrunedExploreAgreesWithFull enforces.
+func pruneCells(apps []splash.App, opts []Option, refName string, store *surrogate.Store,
+	keyFor func(app string) surrogate.Key) map[[2]string]estimate {
+	prune := map[[2]string]estimate{} // [option, app] -> estimate
 	if store == nil || keyFor == nil {
-		out, err := ExploreScenario(ctx, apps, opts, sc, scale, workers, reg)
-		return sourced(out), err
+		return prune
 	}
-	if len(apps) == 0 || len(opts) == 0 {
-		return nil, fmt.Errorf("explore: empty sweep (%d apps, %d options)", len(apps), len(opts))
-	}
-	refName := opts[0].Name
-	for _, opt := range opts {
-		if opt.Name == "16x-ev6" {
-			refName = opt.Name
-		}
-	}
-
-	// Rank each app's cells by extrapolated EDP at the fit's own nominal
-	// operating point (each organization calibrates its own ladder, one
-	// more gap PruneMargin has to cover).
-	type est struct {
-		pred   surrogate.Prediction
-		margin float64
-	}
-	prune := map[[2]string]est{} // [option, app] -> estimate, only for pruned cells
 	for _, app := range apps {
 		fit := store.FitFor(keyFor(app.Name))
 		if fit == nil {
@@ -107,88 +81,11 @@ func ExploreSurrogateScenario(ctx context.Context, apps []splash.App, opts []Opt
 				continue
 			}
 			if m := preds[i].EDP / bestEDP; m > PruneMargin {
-				prune[[2]string{opt.Name, app.Name}] = est{pred: preds[i], margin: m}
+				prune[[2]string{opt.Name, app.Name}] = estimate{pred: preds[i], margin: m}
 			}
 		}
 	}
-
-	// Simulate what survived: per option, the apps not pruned for it.
-	// An option with every app pruned still skips rig construction and
-	// calibration entirely — that is where the speedup lives.
-	sim := make(map[string][]splash.App, len(opts))
-	for _, opt := range opts {
-		for _, app := range apps {
-			if _, ok := prune[[2]string{opt.Name, app.Name}]; !ok {
-				sim[opt.Name] = append(sim[opt.Name], app)
-			}
-		}
-	}
-	perOpt := make([][]Outcome, len(opts))
-	errs := make([]error, len(opts))
-	poolErr := experiment.RunIndexed(ctx, workers, len(opts), func(i int) {
-		if len(sim[opts[i].Name]) == 0 {
-			return
-		}
-		perOpt[i], errs[i] = exploreOption(ctx, sim[opts[i].Name], opts[i], sc, scale, reg)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if poolErr != nil {
-		return nil, poolErr
-	}
-
-	// Merge back into the full grid in ExploreObs order.
-	var out []SourcedOutcome
-	for i, opt := range opts {
-		simd := perOpt[i]
-		for _, app := range apps {
-			if e, ok := prune[[2]string{opt.Name, app.Name}]; ok {
-				out = append(out, SourcedOutcome{
-					Outcome: Outcome{
-						Option: opt, App: app.Name, N: maxThreads(app, opt.Cores),
-						Seconds: e.pred.Seconds, PowerW: e.pred.PowerW,
-						EnergyJ: e.pred.EnergyJ, EDP: e.pred.EDP,
-					},
-					Source: "surrogate", Margin: e.margin,
-				})
-				reg.VolatileCounter("explore_cells_pruned_total").Add(1)
-				continue
-			}
-			for _, o := range simd {
-				if o.App == app.Name {
-					out = append(out, SourcedOutcome{Outcome: o, Source: "simulation"})
-					break
-				}
-			}
-			reg.VolatileCounter("explore_cells_simulated_total").Add(1)
-		}
-	}
-
-	// Speedups against the reference organization, as in ExploreObs.
-	ref := make(map[string]float64)
-	for _, o := range out {
-		if o.Option.Name == refName {
-			ref[o.App] = o.Seconds
-		}
-	}
-	for i := range out {
-		if base, ok := ref[out[i].App]; ok && out[i].Seconds > 0 {
-			out[i].Speedup = base / out[i].Seconds
-		}
-	}
-	return out, nil
-}
-
-// sourced wraps plain outcomes as all-simulation sourced cells.
-func sourced(outs []Outcome) []SourcedOutcome {
-	wrapped := make([]SourcedOutcome, len(outs))
-	for i, o := range outs {
-		wrapped[i] = SourcedOutcome{Outcome: o, Source: "simulation"}
-	}
-	return wrapped
+	return prune
 }
 
 // Outcomes strips provenance, for callers that only need the grid.

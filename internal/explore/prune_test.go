@@ -59,12 +59,12 @@ func TestPrunedExploreAgreesWithFull(t *testing.T) {
 		Option{Name: "2x-tiny", Cores: 2, IssueWidth: 2, IPCBoost: 0.6, L2Bytes: 1 << 20},
 	)
 
-	full, err := ExploreObs(t.Context(), as, opts, scale, 2, obs.NewRegistry())
+	full, err := exact(t.Context(), as, opts, scale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cells, err := ExploreSurrogate(t.Context(), as, opts, scale, 2, reg, store, keyFor)
+	cells, err := Explore(t.Context(), as, opts, nil, scale, 2, reg, store, keyFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,16 @@ func TestPrunedExploreAgreesWithFull(t *testing.T) {
 func TestExploreSurrogateNilStoreFallsBack(t *testing.T) {
 	as := apps(t, "FFT")
 	opts := StandardOptions()[:2]
-	cells, err := ExploreSurrogate(t.Context(), as, opts, 0.05, 1, obs.NewRegistry(), nil, nil)
+	reg := obs.NewRegistry()
+	cells, err := Explore(t.Context(), as, opts, nil, 0.05, 1, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != len(opts) {
 		t.Fatalf("got %d cells, want %d", len(cells), len(opts))
+	}
+	if got := reg.VolatileCounter("explore_cells_simulated_total").Value(); got != int64(len(cells)) {
+		t.Errorf("simulated counter = %d, want %d", got, len(cells))
 	}
 	for _, c := range cells {
 		if c.Source != "simulation" {

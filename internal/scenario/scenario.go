@@ -15,8 +15,10 @@
 // (field order, omitted defaults) always share.
 //
 // The zero scenario plus Normalize is exactly the paper's chip; Baseline
-// returns it. The baseline reproduces the legacy flag-era outputs byte
-// for byte — pinned by doctor check 15 and the scenario smoke script.
+// returns it, and a nil scenario means it wherever a rig is built. The
+// baseline reproduces the paper's figures byte for byte — pinned by the
+// CLI goldens, the results/ regeneration gate, doctor check 15 and the
+// scenario smoke script.
 package scenario
 
 import (
@@ -28,6 +30,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"cmppower/internal/phys"
 )
@@ -129,8 +132,7 @@ type MemorySpec struct {
 }
 
 // Baseline returns the paper's chip: the 16-way homogeneous 65 nm CMP
-// with the chip-wide 200 MHz ladder on the Table 1 die. Building a rig
-// from it reproduces the legacy flag-era apparatus bit for bit.
+// with the chip-wide 200 MHz ladder on the Table 1 die.
 func Baseline() *Scenario {
 	s := &Scenario{
 		Name:        "baseline-2005",
@@ -366,23 +368,31 @@ func (s *Scenario) ShortDigest() (string, error) {
 
 // IsBaseline reports whether the scenario canonicalizes to the same chip
 // as Baseline, name and description excluded: rigs built from such a
-// scenario take the legacy identity (empty digest) in every cache key,
-// so baseline-scenario runs and flag-era runs share caches bit for bit.
+// scenario take the baseline identity (empty digest) in every cache key,
+// so every document describing the paper's chip shares caches bit for
+// bit.
 func (s *Scenario) IsBaseline() (bool, error) {
 	a := s.clone()
 	a.Name, a.Description = "", ""
-	b := Baseline()
-	b.Name, b.Description = "", ""
 	ca, err := a.Canonical()
 	if err != nil {
 		return false, err
 	}
-	cb, err := b.Canonical()
+	cb, err := baselineIdentity()
 	if err != nil {
 		return false, err
 	}
 	return bytes.Equal(ca, cb), nil
 }
+
+// baselineIdentity is the canonical form IsBaseline compares against:
+// Baseline with name and description blanked. It is computed once,
+// because every rig build asks IsBaseline.
+var baselineIdentity = sync.OnceValues(func() ([]byte, error) {
+	b := Baseline()
+	b.Name, b.Description = "", ""
+	return b.Canonical()
+})
 
 // clone deep-copies the scenario.
 func (s *Scenario) clone() *Scenario {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmppower/internal/experiment"
+	"cmppower/internal/obs"
 	"cmppower/internal/scenario"
 	"cmppower/internal/splash"
 )
@@ -168,5 +169,60 @@ func TestSweepEndpointChipScenario(t *testing.T) {
 	}
 	if len(resp.Outcomes) != 1 || resp.Outcomes[0].Error != "" || resp.Outcomes[0].I == nil {
 		t.Fatalf("unexpected sweep outcomes: %s", b)
+	}
+}
+
+// TestRigPoolOneRigPerChip pins the rig pool: every scale of a chip is a
+// clone of one calibrated rig, scenario chips are evicted least recently
+// used first, and the baseline chip is never evicted.
+func TestRigPoolOneRigPerChip(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := newRigPool(reg, experiment.DefaultMemoCapacity, nil)
+	p.capacity = 2
+	chip := func(node string) *scenario.Scenario {
+		sc := scenario.Baseline()
+		sc.Name, sc.Node = "pool-"+node, node
+		return sc
+	}
+	get := func(sc *scenario.Scenario, scale float64) *experiment.Rig {
+		t.Helper()
+		rig, err := p.get(scale, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rig.Scale != scale {
+			t.Fatalf("rig scale %g, want %g", rig.Scale, scale)
+		}
+		return rig
+	}
+
+	a, b := get(nil, 0.05), get(nil, 0.1)
+	if a == b || a.TM != b.TM || a.Cal != b.Cal {
+		t.Error("two scales of the baseline chip are not clones of one rig")
+	}
+	get(chip("90nm"), 0.05)
+	get(chip("130nm"), 0.05)
+	get(chip("90nm"), 0.1) // 90nm becomes the most recently used chip
+	stacked := scenario.Baseline()
+	stacked.Name, stacked.Chip.Layers = "pool-stacked", 2
+	get(stacked, 0.05) // evicts 130nm, the least recently used
+
+	for _, c := range []struct {
+		sc     *scenario.Scenario
+		pooled bool
+	}{{nil, true}, {chip("90nm"), true}, {chip("130nm"), false}, {stacked, true}} {
+		ident, err := chipIdent(c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.chips[ident]; ok != c.pooled {
+			t.Errorf("chip %q pooled = %t, want %t", ident, ok, c.pooled)
+		}
+	}
+	if got := reg.Gauge("server_rigs").Value(); got != 3 {
+		t.Errorf("server_rigs = %g, want 3", got)
+	}
+	if got := reg.Counter("server_rig_evictions_total").Value(); got != 1 {
+		t.Errorf("server_rig_evictions_total = %d, want 1", got)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -408,11 +409,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		outs, err := explore.ExploreScenario(ctx, apps, explore.StandardOptions(), req.Chip, req.Scale, 1, s.reg)
+		cells, err := explore.Explore(ctx, apps, explore.StandardOptions(), req.Chip, req.Scale, 1, s.reg, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		resp := NewExploreResponse(outs)
+		resp := NewExploreResponse(explore.Outcomes(cells))
 		resp.ChipDigest = chipDigest(req.Chip)
 		return okJSON(resp)
 	})
@@ -488,7 +489,7 @@ func (s *Server) lead(key string, f *flight, compute func(context.Context) (*res
 	s.flights.finish(key, f, resp, nil)
 }
 
-// computeRun executes one RunRequest on the (scale, chip) pooled rig.
+// computeRun executes one RunRequest on a clone of its chip's pooled rig.
 func (s *Server) computeRun(ctx context.Context, req *RunRequest) (*experiment.Measurement, error) {
 	rig, err := s.rigs.get(req.Scale, req.Chip)
 	if err != nil {
@@ -512,9 +513,10 @@ func (s *Server) computeRun(ctx context.Context, req *RunRequest) (*experiment.M
 	return w.RunAppSeeded(ctx, app[0], req.N, point, req.Seed)
 }
 
-// computeSweep executes one SweepRequest on the scale's pooled rig,
-// serially per request — concurrency comes from concurrent requests,
-// each holding one admission slot, so -j bounds total simulation work.
+// computeSweep executes one SweepRequest on a clone of its chip's pooled
+// rig, serially per request — concurrency comes from concurrent
+// requests, each holding one admission slot, so -j bounds total
+// simulation work.
 func (s *Server) computeSweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
 	rig, err := s.rigs.get(req.Scale, req.Chip)
 	if err != nil {
@@ -548,12 +550,11 @@ func (s *Server) computeSweep(ctx context.Context, req *SweepRequest) (*SweepRes
 	return resp, nil
 }
 
-// requestRig clones the pooled rig for one request, applying the
-// request's seed, fault spec, and DTM switch. The clone shares the
-// parent's memo cache and registry; fault-injected clones bypass the
-// memo by construction.
-func (s *Server) requestRig(rig *experiment.Rig, seed uint64, faultSpec string, dtm bool) (*experiment.Rig, error) {
-	w := rig.Clone()
+// requestRig applies one request's seed, fault spec, and DTM switch to
+// the request's own clone of the pooled rig (see rigPool.get). The clone
+// shares its chip's memo cache and registry; fault-injected clones
+// bypass the memo by construction.
+func (s *Server) requestRig(w *experiment.Rig, seed uint64, faultSpec string, dtm bool) (*experiment.Rig, error) {
 	w.Seed = seed
 	if faultSpec != "" {
 		inj, err := faults.ParseSpec(faultSpec, seed)
@@ -666,37 +667,28 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// rigKey identifies one pooled rig: the workload scale plus the chip's
-// scenario cache identity — empty for the implicit baseline chip and for
-// scenario documents canonically equal to it (those share the legacy
-// rig, and with it every memo and surrogate cache entry, bit for bit),
-// the scenario's content digest otherwise.
-type rigKey struct {
-	scale float64
-	chip  string
-}
-
-// rigPool caches calibrated rigs by (scale, chip). The first request for
-// each chip pays one full build (calibration: thermal solves); every
-// later scale of that chip derives from its ancestor via CloneForScale —
-// a struct copy, since nothing in the apparatus depends on the scale and
-// the thermal factorization is pooled process-wide. Derived rigs share
-// their ancestor's memo cache (entries key on scale, so they never
-// cross), making the memo budget a single bound per chip.
+// rigPool keeps one calibrated rig per chip identity: the baseline chip
+// (requests without a chip, and chip documents canonically equal to it)
+// pinned for the server's lifetime, plus up to capacity scenario chips
+// with LRU eviction. A chip's first request pays one full build
+// (calibration: thermal solves). Every request then works on a clone
+// carrying its own scale — a struct copy, since nothing in the apparatus
+// depends on the scale. Clones share their chip's memo cache (entries
+// key on scale, so they never cross) and surrogate store, making the
+// memo budget a single bound per chip.
 type rigPool struct {
 	mu       sync.Mutex
 	reg      *obs.Registry
 	memoCap  int
 	surr     *surrogate.Store
 	capacity int
-	bases    map[string]*experiment.Rig // per-chip ancestors for CloneForScale
-	rigs     map[rigKey]*experiment.Rig
-	order    []rigKey // LRU, last = most recently used
+	chips    map[string]*experiment.Rig // by chipIdent; "" is the baseline
+	order    []string                   // scenario chips, LRU, last = most recently used
 }
 
 func newRigPool(reg *obs.Registry, memoCap int, surr *surrogate.Store) *rigPool {
 	return &rigPool{reg: reg, memoCap: memoCap, surr: surr, capacity: 8,
-		bases: make(map[string]*experiment.Rig), rigs: make(map[rigKey]*experiment.Rig)}
+		chips: make(map[string]*experiment.Rig)}
 }
 
 // chipIdent maps an optional (already validated) chip scenario to its
@@ -714,12 +706,10 @@ func chipIdent(sc *scenario.Scenario) (string, error) {
 	return sc.Digest()
 }
 
-// get returns the rig for (scale, chip), deriving it on first use (a
-// clone of the chip's ancestor when one exists, a full build otherwise)
-// and evicting the least-recently-used rig past the pool bound. The
-// baseline ancestor is kept forever even after its scales are evicted;
-// a scenario chip's ancestor is released once no pooled scale still
-// derives from it.
+// get returns a clone of chip's pooled rig with its Scale set to scale,
+// building and calibrating the chip's rig on first use. A new scenario
+// chip past the pool bound evicts the least-recently-used one; the
+// baseline chip is never evicted.
 func (p *rigPool) get(scale float64, chip *scenario.Scenario) (*experiment.Rig, error) {
 	ident, err := chipIdent(chip)
 	if err != nil {
@@ -727,70 +717,33 @@ func (p *rigPool) get(scale float64, chip *scenario.Scenario) (*experiment.Rig, 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := rigKey{scale: scale, chip: ident}
-	if rig, ok := p.rigs[key]; ok {
-		p.touch(key)
-		return rig, nil
-	}
-	var rig *experiment.Rig
-	if base := p.bases[ident]; base != nil {
-		rig, err = base.CloneForScale(scale)
-	} else {
-		if ident == "" {
-			// Baseline-equivalent scenario bodies build the plain legacy rig:
-			// NewRigFromScenario on them is bit-identical anyway, and this
-			// keeps one shared ancestor for the common case.
-			rig, err = experiment.NewRig(scale)
-		} else {
-			rig, err = experiment.NewRigFromScenario(chip, scale)
+	rig, ok := p.chips[ident]
+	switch {
+	case !ok:
+		if rig, err = experiment.NewRigFromScenario(chip, scale); err != nil {
+			return nil, err
 		}
-		if err == nil {
-			rig.Obs = p.reg
-			rig.EnableMemoBounded(p.memoCap)
-			// Every simulated run trains the surrogate; scale-derived and
-			// per-request clones share the pointer like the memo cache.
-			rig.Surrogate = p.surr
-			p.bases[ident] = rig
+		rig.Obs = p.reg
+		rig.EnableMemoBounded(p.memoCap)
+		// Every simulated run trains the surrogate; per-request clones
+		// share the pointer like the memo cache.
+		rig.Surrogate = p.surr
+		p.chips[ident] = rig
+		if ident != "" {
+			p.order = append(p.order, ident)
+			if len(p.order) > p.capacity {
+				delete(p.chips, p.order[0])
+				p.order = p.order[1:]
+				p.reg.VolatileCounter("server_rig_evictions_total").Add(1)
+			}
 		}
+		p.reg.VolatileGauge("server_rigs").Set(float64(len(p.chips)))
+	case ident != "":
+		// A pooled scenario chip moves to the most-recently-used end.
+		i := slices.Index(p.order, ident)
+		p.order = append(slices.Delete(p.order, i, i+1), ident)
 	}
-	if err != nil {
-		return nil, err
-	}
-	p.rigs[key] = rig
-	p.order = append(p.order, key)
-	if len(p.order) > p.capacity {
-		evict := p.order[0]
-		p.order = p.order[1:]
-		delete(p.rigs, evict)
-		p.dropBaseIfOrphan(evict.chip)
-		p.reg.VolatileCounter("server_rig_evictions_total").Add(1)
-	}
-	p.reg.VolatileGauge("server_rigs").Set(float64(len(p.rigs)))
-	return rig, nil
-}
-
-// dropBaseIfOrphan releases a scenario chip's ancestor once no pooled
-// scale still derives from it. The baseline ancestor ("" ident) is kept
-// forever: it is the common case, and holding it makes a re-requested
-// scale a struct copy instead of a recalibration.
-func (p *rigPool) dropBaseIfOrphan(chip string) {
-	if chip == "" {
-		return
-	}
-	for _, k := range p.order {
-		if k.chip == chip {
-			return
-		}
-	}
-	delete(p.bases, chip)
-}
-
-// touch moves key to the most-recently-used end.
-func (p *rigPool) touch(key rigKey) {
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(append(p.order[:i:i], p.order[i+1:]...), key)
-			return
-		}
-	}
+	w := rig.Clone()
+	w.Scale = scale
+	return w, nil
 }

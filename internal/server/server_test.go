@@ -97,6 +97,31 @@ func TestRunEndpointMatchesLibrary(t *testing.T) {
 	if hits := s.reg.Counter("server_cache_hits_total").Value(); hits < 1 {
 		t.Errorf("server_cache_hits_total = %d, want >= 1", hits)
 	}
+
+	// A second scale on the same server runs on a clone of the same
+	// calibrated rig and still matches a fresh rig built at that scale.
+	status, got = post(t, ts.Client(), ts.URL+"/v1/run", `{"app":"FFT","n":2,"scale":0.08,"seed":1}`)
+	if status != http.StatusOK {
+		t.Fatalf("scale 0.08 status %d, body %s", status, got)
+	}
+	fresh, err := experiment.NewRig(0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err = fresh.RunAppSeeded(context.Background(), app, 2, fresh.Table.Nominal(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err = json.Marshal(&RunResponse{Measurement: m}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("scale 0.08 body differs from direct library marshal:\n got %s\nwant %s", got, want)
+	}
+	// One calibration per chip, whatever the scales.
+	if rigs := s.reg.Gauge("server_rigs").Value(); rigs != 1 {
+		t.Errorf("server_rigs = %g after two scales of one chip, want 1", rigs)
+	}
 }
 
 // TestPerClassMetrics: requests tagged with the traffic class header

@@ -152,7 +152,7 @@ func (s *Server) handleExploreSurrogate(w http.ResponseWriter, r *http.Request, 
 		if err != nil {
 			return nil, err
 		}
-		cells, err := explore.ExploreSurrogateScenario(ctx, apps, explore.StandardOptions(), req.Chip,
+		cells, err := explore.Explore(ctx, apps, explore.StandardOptions(), req.Chip,
 			req.Scale, 1, s.reg, s.surr, rig.SurrogateKey)
 		if err != nil {
 			return nil, err

@@ -230,7 +230,7 @@ type ExploreRequest struct {
 	// (core count, width, L2), so the scenario contributes its global axes
 	// — node, die, stacking, thermal, ladder, memory switches — while its
 	// core count, DVFS domains, and class assignment are superseded per
-	// option (see explore.ExploreScenario).
+	// option (see explore.Explore).
 	Chip *scenario.Scenario `json:"chip,omitempty"`
 }
 

@@ -33,10 +33,11 @@ type derived struct {
 const facPoolCapacity = 64
 
 // facPool shares derived thermal state across every Model built from
-// identical (floorplan, params) inputs — the fleet-wide factorization
-// reuse that stops Rig construction, Rig.CloneForScale, and the server's
-// per-scale rigs from re-factoring a conductance matrix that never
-// changed. Keyed by a content digest, not pointer identity, so
+// identical (floorplan, params) inputs — the factorization reuse that
+// stops repeated rig builds of one chip (NewRigFromScenario per explore
+// option, per command, per test) from re-factoring a conductance matrix
+// that never changed. Rig clones share the *Model pointer and never
+// reach the pool. Keyed by a content digest, not pointer identity, so
 // independently built but equal floorplans share too.
 var facPool = struct {
 	mu    sync.Mutex

@@ -172,10 +172,11 @@ func NewModel(fp *floorplan.Floorplan, p Params) (*Model, error) {
 	// The factorization, the CSR walk, and the stable step are shared
 	// through a process-wide pool keyed by the exact (floorplan, params)
 	// content: every Model built from equal inputs derives bit-identical
-	// structures, so re-deriving them per Model was pure waste — the
-	// server's per-scale rigs and every Rig clone hit this path. See
-	// facpool.go; buildDerived keeps the historical reduction orders so
-	// pooled and fresh models agree to the last bit.
+	// structures, so re-deriving them per Model was pure waste — every
+	// repeated rig build of one chip hits this path (Rig clones share the
+	// *Model itself and never get here). See facpool.go; buildDerived
+	// keeps the historical reduction orders so pooled and fresh models
+	// agree to the last bit.
 	d, err := sharedDerived(m)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,10 @@
 // this IR.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ValidationError is the typed failure of Program.Validate: one
 // structurally invalid step (or a program-level defect). Callers that
@@ -254,8 +257,8 @@ type Program struct {
 	Steps []Step
 }
 
-// Validate checks structural soundness: positive counts, valid fractions,
-// non-negative ids, sensible regions. Failures are *ValidationError
+// Validate checks structural soundness: counts that are non-negative and
+// fit an event, valid fractions, ids in [0, maxSyncID], sensible regions. Failures are *ValidationError
 // values carrying the offending step index.
 func (p *Program) Validate() error {
 	if p.Name == "" {
@@ -280,6 +283,13 @@ func stepErr(i int, format string, args ...any) *ValidationError {
 // compute belong in a Compute step.
 const maxComputePerMem = 1 << 16
 
+// maxSyncID bounds Barrier.ID and Critical.Lock. The engine sizes its
+// barrier and lock tables by the largest id a program uses, and an event
+// carries the id as an int32, so an unbounded id would ask for gigabytes
+// of table or alias another id. The catalog models use barrier ids 0–2
+// and lock id 0.
+const maxSyncID = 1<<16 - 1
+
 func validateSteps(steps []Step, depth int) *ValidationError {
 	if depth > 32 {
 		return &ValidationError{Step: -1, Msg: "workload: step nesting too deep"}
@@ -287,8 +297,9 @@ func validateSteps(steps []Step, depth int) *ValidationError {
 	for i, s := range steps {
 		switch s := s.(type) {
 		case Compute:
-			if s.N < 0 {
-				return stepErr(i, "workload: step %d: negative compute count", i)
+			// An event carries the count as an int32.
+			if s.N < 0 || s.N > math.MaxInt32 {
+				return stepErr(i, "workload: step %d: compute count %d outside [0, %d]", i, s.N, math.MaxInt32)
 			}
 			if err := checkFrac(i, "FPFrac", s.FPFrac); err != nil {
 				return err
@@ -331,12 +342,12 @@ func validateSteps(steps []Step, depth int) *ValidationError {
 				return stepErr(i, "workload: step %d: hot window of %d bytes holds no 8-byte word", i, s.hotWindow(w))
 			}
 		case Barrier:
-			if s.ID < 0 {
-				return stepErr(i, "workload: step %d: negative barrier id", i)
+			if s.ID < 0 || s.ID > maxSyncID {
+				return stepErr(i, "workload: step %d: barrier id %d outside [0, %d]", i, s.ID, maxSyncID)
 			}
 		case Critical:
-			if s.Lock < 0 {
-				return stepErr(i, "workload: step %d: negative lock id", i)
+			if s.Lock < 0 || s.Lock > maxSyncID {
+				return stepErr(i, "workload: step %d: lock id %d outside [0, %d]", i, s.Lock, maxSyncID)
 			}
 			if err := validateSteps(s.Body, depth+1); err != nil {
 				return err

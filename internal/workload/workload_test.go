@@ -155,6 +155,12 @@ func TestValidateRejections(t *testing.T) {
 		{"NaN jitter", Program{Name: "x", Steps: []Step{Kernel{Accesses: 1, Jitter: math.NaN(), Region: Region{Size: 8}}}}},
 		{"negative barrier", Program{Name: "x", Steps: []Step{Barrier{ID: -1}}}},
 		{"negative lock", Program{Name: "x", Steps: []Step{Critical{Lock: -1}}}},
+		{"barrier id 1<<40", Program{Name: "x", Steps: []Step{Barrier{ID: 1 << 40}}}},
+		{"barrier id 1<<31", Program{Name: "x", Steps: []Step{Barrier{ID: 1 << 31}}}},
+		{"lock id 1<<40", Program{Name: "x", Steps: []Step{Critical{Lock: 1 << 40}}}},
+		{"lock id 1<<31", Program{Name: "x", Steps: []Step{Critical{Lock: 1 << 31}}}},
+		{"compute count past int32", Program{Name: "x", Steps: []Step{Compute{N: 1<<32 + 5}}}},
+		{"compute count 3e9", Program{Name: "x", Steps: []Step{Compute{N: 3e9}}}},
 		{"negative loop", Program{Name: "x", Steps: []Step{Loop{Times: -1}}}},
 		{"nested bad", Program{Name: "x", Steps: []Step{Loop{Times: 1, Body: []Step{Compute{N: -5}}}}}},
 		{"serial bad", Program{Name: "x", Steps: []Step{Serial{Body: []Step{Barrier{ID: -2}}}}}},
