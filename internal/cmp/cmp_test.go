@@ -1,11 +1,13 @@
 package cmp
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"cmppower/internal/cache"
+	"cmppower/internal/check"
 	"cmppower/internal/dvfs"
 	"cmppower/internal/floorplan"
 	"cmppower/internal/phys"
@@ -70,6 +72,27 @@ func TestConfigValidate(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+	// Every float field rejects NaN and +Inf with a typed error naming
+	// it; a range test in the v < lo || v > hi form passes NaN.
+	floats := map[string]func(*Config, float64){
+		"Point.Freq":      func(c *Config, v float64) { c.Point.Freq = v },
+		"Point.Volt":      func(c *Config, v float64) { c.Point.Volt = v },
+		"BarrierCycles":   func(c *Config, v float64) { c.BarrierCycles = v },
+		"LockCycles":      func(c *Config, v float64) { c.LockCycles = v },
+		"MemLatencySec":   func(c *Config, v float64) { c.MemLatencySec = v },
+		"MemOccupancySec": func(c *Config, v float64) { c.MemOccupancySec = v },
+		"IPCNonMem":       func(c *Config, v float64) { c.Core.IPCNonMem = v },
+	}
+	for field, set := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := DefaultConfig(4, p)
+			set(&cfg, v)
+			var ce *check.Error
+			if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != field {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", field, v, err, field)
+			}
 		}
 	}
 }

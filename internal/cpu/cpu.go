@@ -11,8 +11,10 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
+	"cmppower/internal/check"
 	"cmppower/internal/floorplan"
 	"cmppower/internal/workload"
 )
@@ -78,31 +80,33 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. A float field that is NaN, infinite
+// or out of range fails with a *check.Error naming it.
 func (c Config) Validate() error {
+	maxF := math.MaxFloat64
 	switch {
 	case c.IssueWidth < 1:
 		return fmt.Errorf("cpu: issue width %d", c.IssueWidth)
-	case c.IPCNonMem <= 0 || c.IPCNonMem > float64(c.IssueWidth):
-		return fmt.Errorf("cpu: IPCNonMem %g outside (0, %d]", c.IPCNonMem, c.IssueWidth)
-	case c.BranchMissRate < 0 || c.BranchMissRate > 1:
-		return fmt.Errorf("cpu: branch miss rate %g", c.BranchMissRate)
-	case c.BranchPenaltyCycles < 0:
-		return fmt.Errorf("cpu: branch penalty %g", c.BranchPenaltyCycles)
-	case c.IL1MissRate < 0 || c.IL1MissRate > 1:
-		return fmt.Errorf("cpu: IL1 miss rate %g", c.IL1MissRate)
-	case c.IL1MissCycles < 0:
-		return fmt.Errorf("cpu: IL1 miss cost %g", c.IL1MissCycles)
+	case !(c.IPCNonMem > 0 && c.IPCNonMem <= float64(c.IssueWidth)):
+		return check.Fail("IPCNonMem", c.IPCNonMem, "cpu: IPCNonMem %g outside (0, %d]", c.IPCNonMem, c.IssueWidth)
+	case !check.In(c.BranchMissRate, 0, 1):
+		return check.Fail("BranchMissRate", c.BranchMissRate, "cpu: branch miss rate %g", c.BranchMissRate)
+	case !check.In(c.BranchPenaltyCycles, 0, maxF):
+		return check.Fail("BranchPenaltyCycles", c.BranchPenaltyCycles, "cpu: branch penalty %g", c.BranchPenaltyCycles)
+	case !check.In(c.IL1MissRate, 0, 1):
+		return check.Fail("IL1MissRate", c.IL1MissRate, "cpu: IL1 miss rate %g", c.IL1MissRate)
+	case !check.In(c.IL1MissCycles, 0, maxF):
+		return check.Fail("IL1MissCycles", c.IL1MissCycles, "cpu: IL1 miss cost %g", c.IL1MissCycles)
 	case c.FetchWidth < 1:
 		return fmt.Errorf("cpu: fetch width %d", c.FetchWidth)
-	case c.LoadMissOverlap < 0 || c.LoadMissOverlap >= 1:
-		return fmt.Errorf("cpu: load overlap %g outside [0,1)", c.LoadMissOverlap)
-	case c.StoreMissOverlap < 0 || c.StoreMissOverlap >= 1:
-		return fmt.Errorf("cpu: store overlap %g outside [0,1)", c.StoreMissOverlap)
-	case c.L1HitCycles <= 0:
-		return fmt.Errorf("cpu: L1 hit cycles %g", c.L1HitCycles)
-	case c.SpeedRatio < 0 || c.SpeedRatio > 1:
-		return fmt.Errorf("cpu: speed ratio %g outside (0,1]", c.SpeedRatio)
+	case !(c.LoadMissOverlap >= 0 && c.LoadMissOverlap < 1):
+		return check.Fail("LoadMissOverlap", c.LoadMissOverlap, "cpu: load overlap %g outside [0,1)", c.LoadMissOverlap)
+	case !(c.StoreMissOverlap >= 0 && c.StoreMissOverlap < 1):
+		return check.Fail("StoreMissOverlap", c.StoreMissOverlap, "cpu: store overlap %g outside [0,1)", c.StoreMissOverlap)
+	case !(c.L1HitCycles > 0 && check.Finite(c.L1HitCycles)):
+		return check.Fail("L1HitCycles", c.L1HitCycles, "cpu: L1 hit cycles %g", c.L1HitCycles)
+	case !check.In(c.SpeedRatio, 0, 1):
+		return check.Fail("SpeedRatio", c.SpeedRatio, "cpu: speed ratio %g outside (0,1]", c.SpeedRatio)
 	}
 	return nil
 }

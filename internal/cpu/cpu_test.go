@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cmppower/internal/check"
 	"cmppower/internal/floorplan"
 	"cmppower/internal/workload"
 )
@@ -49,6 +51,29 @@ func TestConfigValidate(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+	// Every float field rejects NaN and +Inf with a typed error naming
+	// it; a range test in the v < lo || v > hi form passes NaN.
+	floats := map[string]func(*Config, float64){
+		"IPCNonMem":           func(c *Config, v float64) { c.IPCNonMem = v },
+		"BranchMissRate":      func(c *Config, v float64) { c.BranchMissRate = v },
+		"BranchPenaltyCycles": func(c *Config, v float64) { c.BranchPenaltyCycles = v },
+		"IL1MissRate":         func(c *Config, v float64) { c.IL1MissRate = v },
+		"IL1MissCycles":       func(c *Config, v float64) { c.IL1MissCycles = v },
+		"LoadMissOverlap":     func(c *Config, v float64) { c.LoadMissOverlap = v },
+		"StoreMissOverlap":    func(c *Config, v float64) { c.StoreMissOverlap = v },
+		"L1HitCycles":         func(c *Config, v float64) { c.L1HitCycles = v },
+		"SpeedRatio":          func(c *Config, v float64) { c.SpeedRatio = v },
+	}
+	for field, set := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			set(&cfg, v)
+			var ce *check.Error
+			if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != field {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", field, v, err, field)
+			}
 		}
 	}
 	if _, err := New(-1, DefaultConfig()); err == nil {

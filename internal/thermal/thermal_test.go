@@ -1,9 +1,11 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"cmppower/internal/check"
 	"cmppower/internal/floorplan"
 	"cmppower/internal/phys"
 )
@@ -331,6 +333,15 @@ func TestTransientValidation(t *testing.T) {
 	}
 	if _, err := m.Transient(good, good, -1); err == nil {
 		t.Error("accepted negative duration")
+	}
+	// An infinite duration used to spin the substep loop forever; NaN
+	// used to return at once with the state unchanged.
+	for _, d := range []float64{math.Inf(1), math.NaN()} {
+		st := m.NewTransientState()
+		var ce *check.Error
+		if err := m.TransientStep(st, good, d); !errors.As(err, &ce) || ce.Field != "duration" {
+			t.Errorf("duration %g: got %v, want a *check.Error on duration", d, err)
+		}
 	}
 }
 
