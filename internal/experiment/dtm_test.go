@@ -1,14 +1,21 @@
 package experiment
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
+	"cmppower/internal/check"
+	"cmppower/internal/cmp"
+	"cmppower/internal/dvfs"
 	"cmppower/internal/faults"
 	"cmppower/internal/phys"
+	"cmppower/internal/scenario"
 )
 
 // overclockedRig returns a rig whose ladder extends 30% above nominal, so
@@ -89,7 +96,7 @@ func TestDTMIdleAtCoolOperatingPoint(t *testing.T) {
 
 func TestDTMZeroConfigUsesDefaults(t *testing.T) {
 	rig := testRig(t)
-	rig.DTM = &DTMConfig{} // zero value: runDTM substitutes the defaults
+	rig.DTM = &DTMConfig{} // zero value: resolve substitutes the defaults
 	m, err := rig.RunApp(app(t, "FFT"), 2, rig.Table.Min())
 	if err != nil {
 		t.Fatal(err)
@@ -119,16 +126,136 @@ func TestDTMConfigValidate(t *testing.T) {
 	if err := DefaultDTMConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	bad := []DTMConfig{
-		{TripC: phys.AmbientTempC, HysteresisC: 1, StepDown: 1, Intervals: 8, TimeDilation: 1},
-		{TripC: 96, HysteresisC: -1, StepDown: 1, Intervals: 8, TimeDilation: 1},
-		{TripC: 96, HysteresisC: 1, StepDown: 0, Intervals: 8, TimeDilation: 1},
-		{TripC: 96, HysteresisC: 1, StepDown: 1, Intervals: 1, TimeDilation: 1},
-		{TripC: 96, HysteresisC: 1, StepDown: 1, Intervals: 8, TimeDilation: 0},
+	edge := DefaultDTMConfig()
+	edge.Intervals = maxDTMIntervals
+	if err := edge.Validate(); err != nil {
+		t.Errorf("%d intervals rejected: %v", maxDTMIntervals, err)
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: accepted %+v", i, c)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		field string
+		set   func(*DTMConfig)
+	}{
+		{"TripC", func(c *DTMConfig) { c.TripC = phys.AmbientTempC }},
+		{"TripC", func(c *DTMConfig) { c.TripC = nan }},
+		{"TripC", func(c *DTMConfig) { c.TripC = inf }},
+		{"HysteresisC", func(c *DTMConfig) { c.HysteresisC = -1 }},
+		{"HysteresisC", func(c *DTMConfig) { c.HysteresisC = nan }},
+		{"HysteresisC", func(c *DTMConfig) { c.HysteresisC = inf }},
+		{"StepDown", func(c *DTMConfig) { c.StepDown = 0 }},
+		{"Intervals", func(c *DTMConfig) { c.Intervals = 1 }},
+		{"Intervals", func(c *DTMConfig) { c.Intervals = maxDTMIntervals + 1 }},
+		{"Intervals", func(c *DTMConfig) { c.Intervals = 1 << 30 }},
+		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = 0 }},
+		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = nan }},
+		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = inf }},
+	}
+	for i, tc := range bad {
+		c := DefaultDTMConfig()
+		tc.set(&c)
+		var ce *check.Error
+		if err := c.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("case %d: %+v gave %v, want a *check.Error on %s", i, c, err, tc.field)
+		}
+	}
+}
+
+// TestDTMReportedRunMatchesPlain: a reported DTM run is the plain run
+// sampled every control period, and a sampled run ends bit-identical to
+// an unsampled one, so its measurement equals the plain rig's field for
+// field except DTM. It checks a one-island chip and the two islands of
+// the big/little chip, at nominal and at a low ladder point.
+func TestDTMReportedRunMatchesPlain(t *testing.T) {
+	biglittle, err := scenario.LoadFile("../../examples/scenarios/biglittle.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*scenario.Scenario{nil, biglittle} {
+		plain, err := NewRigFromScenario(sc, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		governed := plain.Clone()
+		dc := DefaultDTMConfig()
+		governed.DTM = &dc
+		for _, a := range testApps(t) {
+			for _, n := range []int{1, 2, 4, 8, 16} {
+				if !a.RunsOn(n) {
+					continue
+				}
+				for _, p := range []dvfs.OperatingPoint{plain.Table.Nominal(), plain.Table.PointFor(1.4e9)} {
+					want, err := plain.RunApp(a, n, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := governed.RunApp(a, n, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.DTM == nil {
+						t.Fatalf("%s/%d at %v: no DTM stats", a.Name, n, p)
+					}
+					got.DTM = nil
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s on %s/%d at %v:\n got %+v\nwant %+v", plain.Scenario.Name, a.Name, n, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDTMSamplesFollowThePeriod: a reported DTM run is sampled every
+// control period, dtmReferenceS·Scale/Intervals of modelled time. Every
+// interval but the last spans at least one period, so the sample count
+// is bounded by the run's length in periods, and the run's DTM stats are
+// the governor's replay of exactly those samples.
+func TestDTMSamplesFollowThePeriod(t *testing.T) {
+	rig := testRig(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		app       string
+		n         int
+		intervals int
+	}{
+		{"FFT", 1, 64}, {"LU", 4, 64}, {"Ocean", 16, 64}, {"Radix", 8, 16}, {"FMM", 2, 256},
+	} {
+		a := app(t, tc.app)
+		dc := DefaultDTMConfig()
+		dc.Intervals = tc.intervals
+		rig.DTM = &dc
+		p := rig.Table.Nominal()
+		period := dc.periodCycles(rig.Scale, p)
+		if want := dtmReferenceS * rig.Scale / float64(tc.intervals) * p.Freq; period != want {
+			t.Fatalf("%s: period %g cycles, want %g", tc.app, period, want)
+		}
+		cfg := rig.runConfig(ctx, a, tc.n, p, rig.Seed)
+		cfg.SampleCycles = period
+		res, err := cmp.Run(a.Program(rig.Scale), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := res.Samples
+		for i, s := range samples[:len(samples)-1] {
+			if s.EndCycle-s.StartCycle < period {
+				t.Fatalf("%s/%d: interval %d spans %g cycles, under the %g-cycle period",
+					tc.app, tc.n, i, s.EndCycle-s.StartCycle, period)
+			}
+		}
+		periods := res.Cycles / period
+		if k := float64(len(samples)); k > periods+1 || k < periods*3/4 {
+			t.Errorf("%s/%d: %d samples over %.1f periods", tc.app, tc.n, len(samples), periods)
+		}
+		want, err := rig.governDTM(dc, tc.n, p, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := rig.RunApp(a, tc.n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *m.DTM != *want {
+			t.Errorf("%s/%d: DTM stats %+v, want the replay of the period's samples %+v", tc.app, tc.n, *m.DTM, *want)
 		}
 	}
 }
@@ -208,7 +335,7 @@ func TestDTMActsOnFaultySensorReadings(t *testing.T) {
 // sensor noise and DVFS-transition failures. The default-trip goldens
 // never throttle, so this is what pins the controller's throttle and
 // recovery path.
-const throttleDigest = "08fcd4af09e9e41829960a474e488a535a663001da7c50a118ec74b1f21cda35"
+const throttleDigest = "8627ade0277bf3b5740cbf43d8cddd2f70908e6229e7507e0ec556736365f462"
 
 // throttleStatsJSON replays DTM at a 60 °C trip on overclockedRig for a
 // small app × N grid, fault-free and under a sensor-noise/DVFS-failure

@@ -56,13 +56,13 @@ type Rig struct {
 	// run-level failures feed the sweep runner's retry logic. A nil
 	// injector reproduces fault-free results bit for bit.
 	Faults *faults.Injector
-	// DTM, when non-nil, enables the dynamic thermal-management controller:
-	// a reported measurement additionally replays its run's activity
-	// through the transient thermal network under the controller and
-	// carries the resulting DTMStats. RunApp and its variants always
-	// replay; Scenario I and II replay only the runs they report, not
-	// their profiling runs — except under active fault injection, where
-	// every run replays (see attachDTM).
+	// DTM, when non-nil, enables the dynamic thermal-management controller
+	// on the runs a caller reports: RunApp and its variants, and the
+	// measurements Scenario I and II keep. Such a run is simulated once,
+	// sampled every control period (DTMConfig.Intervals), and its samples
+	// are replayed through the transient thermal network under the
+	// controller; the measurement carries the resulting DTMStats. The
+	// scenarios' profiling runs stay plain runs.
 	DTM *DTMConfig
 	// Obs, when non-nil, collects run metrics: every simulation publishes
 	// its engine/cache/bus/DRAM counters (see cmp.Config.Metrics), and the
@@ -200,9 +200,9 @@ func (r *Rig) runConfig(ctx context.Context, app splash.App, n int, p dvfs.Opera
 // pipeline: runConfig assembles the configuration, tune (when non-nil)
 // sets the caller's own fields on it, and evaluateRun prices the run on
 // the rig's chip. It returns the engine result and its power/thermal
-// evaluation. Unlike RunApp it is never memoized, replayed through DTM
-// or fed to the surrogate, whose keys cannot see what tune
-// changed, and it draws no run-level injected failure.
+// evaluation. Unlike RunApp it is never memoized, governed by DTM or fed
+// to the surrogate, whose keys cannot see what tune changed, and it
+// draws no run-level injected failure.
 func (r *Rig) Simulate(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, tune func(*cmp.Config)) (*cmp.Result, *power.Result, error) {
 	cfg := r.runConfig(ctx, app, n, p, r.Seed)
 	if tune != nil {
@@ -233,37 +233,49 @@ func (r *Rig) RunAppCtx(ctx context.Context, app splash.App, n int, p dvfs.Opera
 // enabled (EnableMemo) and fault injection is off, identical runs are
 // served from the cache; fault injection bypasses the cache entirely
 // because the injector's streams make runs order-dependent. On a DTM rig
-// the result always carries the run's DTM stats (see attachDTM).
+// the run is a reported one: simulated once, sampled and governed, and
+// the result carries its DTM stats (see Rig.DTM).
 func (r *Rig) RunAppSeeded(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (*Measurement, error) {
-	m, err := r.measure(ctx, app, n, p, seed)
+	if r.DTM == nil {
+		return r.run(ctx, app, n, p, seed, nil)
+	}
+	dc, err := r.DTM.resolve()
 	if err != nil {
-		return nil, err
+		return nil, &RunError{App: app.Name, N: n, Point: p, Seed: seed, Step: "dtm", Err: err}
 	}
-	if err := r.attachDTM(ctx, app, m, seed); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.run(ctx, app, n, p, seed, &dc)
 }
 
-// measure is RunAppSeeded without the DTM replay: the scenarios call it
-// for profiling runs whose measurements never reach an output, and attach
-// the replay (attachDTM) only to the measurements they report. Under
-// active fault injection runApp still replays eagerly, so there the
-// result already carries its DTM stats.
+// measure is a profiling run: a plain run whatever the rig's DTM
+// setting, under the plain memo identity. The scenarios measure the runs
+// whose results only steer them, and report the runs they keep through
+// RunAppSeeded.
 func (r *Rig) measure(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (*Measurement, error) {
+	return r.run(ctx, app, n, p, seed, nil)
+}
+
+// run serves one run from the memo cache when the rig has one and the
+// run is memoizable, and simulates it otherwise. dc is the resolved DTM
+// configuration of a governed run, nil for a plain one; the memo keys
+// the two apart.
+func (r *Rig) run(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64, dc *DTMConfig) (*Measurement, error) {
 	if !app.RunsOn(n) {
 		return nil, fmt.Errorf("experiment: %s does not run on %d cores", app.Name, n)
 	}
 	if r.memo != nil && r.memoizable() {
-		return r.memo.do(ctx, r.memoKeyFor(app.Name, n, p, seed), r.Obs, func() (*Measurement, error) {
-			return r.runApp(ctx, app, n, p, seed)
+		return r.memo.do(ctx, r.memoKeyFor(app.Name, n, p, seed, dc), r.Obs, func() (*Measurement, error) {
+			return r.runApp(ctx, app, n, p, seed, dc)
 		})
 	}
-	return r.runApp(ctx, app, n, p, seed)
+	return r.runApp(ctx, app, n, p, seed, dc)
 }
 
-// runApp is the uncached run path behind measure.
-func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64) (m *Measurement, err error) {
+// runApp is the uncached run path behind run. With a DTM configuration
+// dc the simulation is sampled every control period and the samples are
+// replayed through the governor (governDTM); a sampled run ends
+// bit-identical to an unsampled one, so only the measurement's DTM stats
+// differ from a plain run's.
+func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.OperatingPoint, seed uint64, dc *DTMConfig) (m *Measurement, err error) {
 	fail := func(step string, err error) error {
 		return &RunError{App: app.Name, N: n, Point: p, Seed: seed, Step: step, Err: err}
 	}
@@ -281,7 +293,11 @@ func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.Operatin
 			return nil, fail("inject", err)
 		}
 	}
-	res, err := cmp.Run(app.Program(r.Scale), r.runConfig(ctx, app, n, p, seed))
+	cfg := r.runConfig(ctx, app, n, p, seed)
+	if dc != nil {
+		cfg.SampleCycles = dc.periodCycles(r.Scale, p)
+	}
+	res, err := cmp.Run(app.Program(r.Scale), cfg)
 	if err != nil {
 		return nil, fail("simulate", err)
 	}
@@ -297,13 +313,11 @@ func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.Operatin
 		BusUtil: res.BusUtilization, MemUtil: res.MemUtilization,
 		ECCRetries: res.CacheStats.ECCRetries,
 	}
-	if !r.memoizable() {
-		// The injector's sensor and DVFS streams make every replay
-		// observable, so under active fault injection each run replays
-		// DTM right after it simulates, in run order.
-		if err := r.attachDTM(ctx, app, m, seed); err != nil {
-			return nil, err
+	if dc != nil {
+		if m.DTM, err = r.governDTM(*dc, n, p, res.Samples); err != nil {
+			return nil, fail("dtm", err)
 		}
+		r.publishDTM(m.DTM)
 	}
 	r.Obs.Counter("experiment_runs_total").Add(1)
 	r.feedSurrogate(m)
@@ -345,8 +359,8 @@ type ScenarioIResult struct {
 // profile at nominal frequency for every core count, derive each
 // configuration's target frequency from Eq. 7, re-simulate at the scaled
 // operating point, and report the five Fig. 3 panels. On a DTM rig the
-// baseline and each scaled run carry DTM stats; the profiling runs do not
-// replay DTM (see attachDTM).
+// baseline and each scaled run are reported runs carrying DTM stats; the
+// nominal profiling runs stay plain (see Rig.DTM).
 func (r *Rig) ScenarioI(app splash.App, coreCounts []int) (*ScenarioIResult, error) {
 	return r.ScenarioICtx(context.Background(), app, coreCounts)
 }
@@ -454,9 +468,10 @@ func (r *Rig) profilePoints() []dvfs.OperatingPoint {
 // for each core count, find via profiling the highest operating point
 // whose measured power fits the single-core budget, then measure the
 // actual speedup there; the nominal speedup comes from the unconstrained
-// profiling pass. On a DTM rig only the measurements a row keeps — the
+// profiling pass. On a DTM rig the measurements a row keeps — the
 // baseline, a non-binding nominal run, or the final budget-fitting run —
-// replay DTM; the grid and guard-loop runs do not (see attachDTM).
+// are reported runs carrying DTM stats; the nominal, grid and guard-loop
+// runs that steer the search stay plain (see Rig.DTM).
 func (r *Rig) ScenarioII(app splash.App, coreCounts []int) (*ScenarioIIResult, error) {
 	return r.ScenarioIICtx(context.Background(), app, coreCounts)
 }
@@ -478,14 +493,19 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 		if !app.RunsOn(n) {
 			continue
 		}
-		nom, err := r.measure(ctx, app, n, r.Table.Nominal(), r.Seed)
-		if err != nil {
-			return nil, err
+		// At N = 1 the nominal run is the baseline. A DTM rig reuses it,
+		// since its plain profile would be a second simulation; a plain
+		// rig asks the memo as before, which keeps its memo counters.
+		nom := base
+		if n != 1 || r.DTM == nil {
+			if nom, err = r.measure(ctx, app, n, r.Table.Nominal(), r.Seed); err != nil {
+				return nil, err
+			}
 		}
 		row := ScenarioIIRow{N: n, NominalSpeedup: base.Seconds / nom.Seconds}
 		if nom.PowerW <= budget {
 			// Budget not binding: run flat out.
-			if err := r.attachDTM(ctx, app, nom, r.Seed); err != nil {
+			if nom, err = r.report(ctx, app, nom); err != nil {
 				return nil, err
 			}
 			row.ActualSpeedup = row.NominalSpeedup
@@ -530,7 +550,7 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 				return nil, err
 			}
 		}
-		if err := r.attachDTM(ctx, app, final, r.Seed); err != nil {
+		if final, err = r.report(ctx, app, final); err != nil {
 			return nil, err
 		}
 		row.ActualSpeedup = base.Seconds / final.Seconds
@@ -544,6 +564,17 @@ func (r *Rig) ScenarioIICtx(ctx context.Context, app splash.App, coreCounts []in
 		out.DTM = summarizeDTM(kept)
 	}
 	return out, nil
+}
+
+// report returns the measurement a Scenario II row keeps for its profiled
+// run m: m itself on a plain rig, or when m is already a reported run;
+// on a DTM rig, the same run made again on the reported path, where it is
+// sampled and governed.
+func (r *Rig) report(ctx context.Context, app splash.App, m *Measurement) (*Measurement, error) {
+	if r.DTM == nil || m.DTM != nil {
+		return m, nil
+	}
+	return r.RunAppSeeded(ctx, app, m.N, m.Point, r.Seed)
 }
 
 // ModeledSeconds sums the simulated time of the measurements a Scenario I

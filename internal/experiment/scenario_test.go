@@ -57,8 +57,8 @@ func TestScenarioDigestPreventsMemoCollision(t *testing.T) {
 	if b.ScenarioDigest() == "" {
 		t.Fatal("non-baseline scenario got empty digest")
 	}
-	ka := a.memoKeyFor("FMM", 4, a.Table.Nominal(), 1)
-	kb := b.memoKeyFor("FMM", 4, a.Table.Nominal(), 1)
+	ka := a.memoKeyFor("FMM", 4, a.Table.Nominal(), 1, nil)
+	kb := b.memoKeyFor("FMM", 4, a.Table.Nominal(), 1, nil)
 	if ka == kb {
 		t.Error("memo keys collide across scenarios")
 	}
