@@ -135,11 +135,15 @@ func (f *Floorplan) CoreBlocks(c int) []int {
 	return out
 }
 
+// edgeEps is SharedEdge's tolerance, in meters, for two block edges to
+// count as one line.
+const edgeEps = 1e-9
+
 // SharedEdge returns the length (m) of the boundary shared by blocks a and
 // b, or 0 if they do not abut. Blocks that merely touch at a corner share
 // no edge.
 func SharedEdge(a, b Block) float64 {
-	const eps = 1e-9
+	const eps = edgeEps
 	// Vertical adjacency: a's right edge on b's left edge or vice versa.
 	if math.Abs((a.X+a.W)-b.X) < eps || math.Abs((b.X+b.W)-a.X) < eps {
 		lo := math.Max(a.Y, b.Y)
@@ -170,12 +174,31 @@ type Adjacency struct {
 // adjacency exists only within one stacking layer; vertical coupling
 // between layers is the thermal model's business (face overlap, not edge
 // abutment).
+//
+// Pairs are visited in index order and SharedEdge decides each one, so
+// every neighbor list comes out in one fixed order. Most pairs lie far
+// apart, so a pair is first tested on flat arrays of each block's layer
+// and extents: when the extents lie more than twice SharedEdge's
+// tolerance apart along either axis, the two blocks cannot share an
+// edge, and SharedEdge would return 0.
 func (f *Floorplan) BuildAdjacency() Adjacency {
 	n := len(f.Blocks)
 	adj := Adjacency{Neighbor: make([][]int, n), Edge: make([][]float64, n)}
+	layer := make([]int, n)
+	x0, x1 := make([]float64, n), make([]float64, n)
+	y0, y1 := make([]float64, n), make([]float64, n)
+	for i, b := range f.Blocks {
+		layer[i] = b.Layer
+		// Extents hold whatever the signs of W and H.
+		x0[i], x1[i] = math.Min(b.X, b.X+b.W), math.Max(b.X, b.X+b.W)
+		y0[i], y1[i] = math.Min(b.Y, b.Y+b.H), math.Max(b.Y, b.Y+b.H)
+	}
+	const gap = 2 * edgeEps
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if f.Blocks[i].Layer != f.Blocks[j].Layer {
+			if layer[i] != layer[j] ||
+				x0[j] > x1[i]+gap || x0[i] > x1[j]+gap ||
+				y0[j] > y1[i]+gap || y0[i] > y1[j]+gap {
 				continue
 			}
 			e := SharedEdge(f.Blocks[i], f.Blocks[j])

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,72 @@ func TestBuildAdjacencyChip(t *testing.T) {
 				t.Errorf("adjacency not symmetric: %d->%d", i, j)
 			}
 		}
+	}
+}
+
+// buildAdjacencyRef is BuildAdjacency without the extent prefilter: the
+// plain all-pairs scan it replaced, kept as the reference.
+func buildAdjacencyRef(f *Floorplan) Adjacency {
+	n := len(f.Blocks)
+	adj := Adjacency{Neighbor: make([][]int, n), Edge: make([][]float64, n)}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if f.Blocks[i].Layer != f.Blocks[j].Layer {
+				continue
+			}
+			e := SharedEdge(f.Blocks[i], f.Blocks[j])
+			if e > 0 {
+				adj.Neighbor[i] = append(adj.Neighbor[i], j)
+				adj.Edge[i] = append(adj.Edge[i], e)
+				adj.Neighbor[j] = append(adj.Neighbor[j], i)
+				adj.Edge[j] = append(adj.Edge[j], e)
+			}
+		}
+	}
+	return adj
+}
+
+// TestBuildAdjacencyMatchesReference: the prefilter only skips pairs that
+// share no edge, so every chip the scenarios can build, and random block
+// sets with touching, overlapping and negative-size blocks, get the
+// reference's neighbor lists in the same order with bit-identical edges.
+func TestBuildAdjacencyMatchesReference(t *testing.T) {
+	same := func(fp *Floorplan) bool {
+		return reflect.DeepEqual(fp.BuildAdjacency(), buildAdjacencyRef(fp))
+	}
+	for _, n := range []int{1, 2, 3, 4, 8, 12, 16, 32, 64, 128, 256} {
+		for _, layers := range []int{1, 2, 4} {
+			if n%layers != 0 {
+				continue
+			}
+			for _, banks := range []int{1, 4, 7} {
+				cfg := DefaultChipConfig(n)
+				cfg.Layers, cfg.L2Banks = layers, banks
+				fp, err := Chip(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(fp) {
+					t.Errorf("%d cores, %d layers, %d banks: adjacency differs from the reference", n, layers, banks)
+				}
+			}
+		}
+	}
+	// Random blocks on a coarse grid, so edges coincide often.
+	grid := func(v uint8) float64 { return float64(v%8) * 1e-3 }
+	f := func(raw [][5]uint8) bool {
+		fp := &Floorplan{}
+		for _, r := range raw {
+			w, h := grid(r[2])+1e-3, grid(r[3])+1e-3
+			if r[4]&1 != 0 {
+				w = -w
+			}
+			fp.Blocks = append(fp.Blocks, Block{X: grid(r[0]), Y: grid(r[1]), W: w, H: h, Layer: int(r[4] >> 7)})
+		}
+		return same(fp)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
