@@ -24,24 +24,13 @@ func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
 	if sc == nil {
 		sc = scenario.Baseline()
 	}
-	sc = sc.Clone()
-	sc.Normalize()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	// Baseline-equivalent scenarios keep the empty digest so every build
 	// of the paper's chip shares every cache (memo, surrogate, server
 	// responses); any other chip gets its content digest and can never
 	// collide with a different chip's entries.
-	baseline, err := sc.IsBaseline()
+	sc, digest, err := sc.Identity()
 	if err != nil {
 		return nil, err
-	}
-	digest := ""
-	if !baseline {
-		if digest, err = sc.Digest(); err != nil {
-			return nil, err
-		}
 	}
 	tech := sc.Technology()
 	tab, err := dvfs.NewTable(tech, sc.DVFS.LadderMinMHz*1e6, tech.FNominal, sc.DVFS.LadderStepMHz*1e6)

@@ -367,27 +367,51 @@ func (s *Scenario) ShortDigest() (string, error) {
 }
 
 // IsBaseline reports whether the scenario canonicalizes to the same chip
-// as Baseline, name and description excluded: rigs built from such a
-// scenario take the baseline identity (empty digest) in every cache key,
-// so every document describing the paper's chip shares caches bit for
-// bit.
+// as Baseline, name and description excluded (see Identity).
 func (s *Scenario) IsBaseline() (bool, error) {
-	a := s.clone()
-	a.Name, a.Description = "", ""
-	ca, err := a.Canonical()
-	if err != nil {
-		return false, err
-	}
-	cb, err := baselineIdentity()
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(ca, cb), nil
+	_, ident, err := s.Identity()
+	return err == nil && ident == "", err
 }
 
-// baselineIdentity is the canonical form IsBaseline compares against:
+// Identity canonicalizes the scenario once and returns the canonical
+// (normalized, validated) copy with its cache identity: "" when the
+// scenario is the baseline chip whatever its name and description, its
+// Digest otherwise. Rigs built from a baseline-identity scenario key
+// every cache (memo, surrogate, server responses) like the paper's chip,
+// so every document describing that chip shares them bit for bit.
+func (s *Scenario) Identity() (*Scenario, string, error) {
+	c := s.clone()
+	c.Normalize()
+	if err := c.Validate(); err != nil {
+		return nil, "", err
+	}
+	// The baseline comparison is over the canonical form with name and
+	// description blanked, as Canonical would render such a copy.
+	anon := *c
+	anon.Name, anon.Description = "", ""
+	anon.Normalize()
+	a, err := json.Marshal(&anon)
+	if err != nil {
+		return nil, "", err
+	}
+	base, err := baselineIdentity()
+	if err != nil {
+		return nil, "", err
+	}
+	if bytes.Equal(a, base) {
+		return c, "", nil
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		return nil, "", err
+	}
+	sum := sha256.Sum256(b)
+	return c, hex.EncodeToString(sum[:]), nil
+}
+
+// baselineIdentity is the canonical form Identity compares against:
 // Baseline with name and description blanked. It is computed once,
-// because every rig build asks IsBaseline.
+// because every rig build asks for an identity.
 var baselineIdentity = sync.OnceValues(func() ([]byte, error) {
 	b := Baseline()
 	b.Name, b.Description = "", ""

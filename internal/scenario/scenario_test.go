@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -200,6 +203,75 @@ func TestDigestIgnoresNameNotChip(t *testing.T) {
 	ok, err = s.IsBaseline()
 	if err != nil || ok {
 		t.Errorf("8-core chip IsBaseline = %v, %v; want false", ok, err)
+	}
+}
+
+// TestIdentityMatchesDigest: Identity's one canonicalization gives the
+// canonical copy Canonical renders, the empty identity exactly for
+// baseline chips (name and description aside) and Digest for every
+// other chip, on every example scenario and on variants of them.
+func TestIdentityMatchesDigest(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	var docs []*Scenario
+	for _, p := range paths {
+		s, err := LoadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, s)
+	}
+	renamed := Baseline()
+	renamed.Name, renamed.Description = "someone-elses-baseline", "same chip"
+	unnamed := &Scenario{} // every field defaulted
+	mid := Baseline()
+	mid.Name, mid.DVFS.LadderStepMHz = "mid-step", 100
+	docs = append(docs, Baseline(), renamed, unnamed, mid)
+	for _, s := range docs {
+		before, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, ident, err := s.Identity()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if after, _ := json.Marshal(s); !bytes.Equal(after, before) {
+			t.Errorf("%s: Identity modified its receiver", s.Name)
+		}
+		want, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(canon); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: canonical copy renders %s, want %s", s.Name, got, want)
+		}
+		anon := s.Clone()
+		anon.Name, anon.Description = "", ""
+		a, err := anon.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := baselineIdentity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdent := ""
+		if !bytes.Equal(a, b) {
+			if wantIdent, err = s.Digest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ident != wantIdent {
+			t.Errorf("%s: identity %q, want %q", s.Name, ident, wantIdent)
+		}
+	}
+	bad := Baseline()
+	bad.Chip.Layers = 3
+	if _, _, err := bad.Identity(); err == nil {
+		t.Error("Identity accepted an invalid scenario")
 	}
 }
 

@@ -699,11 +699,8 @@ func chipIdent(sc *scenario.Scenario) (string, error) {
 	if sc == nil {
 		return "", nil
 	}
-	baseline, err := sc.IsBaseline()
-	if err != nil || baseline {
-		return "", err
-	}
-	return sc.Digest()
+	_, ident, err := sc.Identity()
+	return ident, err
 }
 
 // get returns a clone of chip's pooled rig with its Scale set to scale,
