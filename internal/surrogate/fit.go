@@ -308,7 +308,8 @@ func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fit
 		return fitResult{reason: "no in-region holdout samples"}
 	}
 	f.Bound = opt.Safety*math.Max(f.HoldoutErrT, f.HoldoutErrP) + opt.FloorErr
-	if f.Bound > opt.MaxBound {
+	// Written so a NaN bound (a NaN holdout error) is refused too.
+	if !(f.Bound <= opt.MaxBound) {
 		return fitResult{reason: fmt.Sprintf("residual bound %.3f exceeds budget %.3f", f.Bound, opt.MaxBound)}
 	}
 	// The training residuals must respect the bound too: a fit that
