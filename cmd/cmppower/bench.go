@@ -52,9 +52,9 @@ type engineBench struct {
 }
 
 // observedBench is the observed-run figure (schema 10): the engine
-// workload sampled into Intervals activity intervals, as a DTM replay
-// samples its run, against the same run unsampled. Both run on the
-// fused loop. RelativeSpeed is the unsampled time over the sampled
+// workload sampled into Intervals equal activity intervals, the density
+// a governed DTM run of the reference length gets, against the same run
+// unsampled. Both run on the fused loop. RelativeSpeed is the unsampled time over the sampled
 // time — 1 means sampling is free — and scripts/benchgate gates it like
 // the speedup ratios.
 type observedBench struct {
@@ -300,8 +300,9 @@ func benchEngine(reps int) (engineBench, error) {
 
 // benchObserved times benchEngine's workload on the fused loop sampled
 // into 64 intervals and unsampled, alternating the two, best of reps
-// each. The interval length comes from the unsampled run's cycle count,
-// as a DTM replay derives it.
+// each. The interval length is the unsampled run's cycle count over 64,
+// so the figure keeps its meaning across builds; a governed DTM run's
+// period is instead fixed in modelled time (experiment.DTMConfig).
 func benchObserved(reps int) (observedBench, error) {
 	const intervals = 64
 	app, err := cmppower.AppByName("Ocean")

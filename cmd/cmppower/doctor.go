@@ -109,8 +109,8 @@ func runDoctor(args []string) error {
 // the fast path's bit-identity guarantee, self-verifying in the field.
 // The workload deliberately mixes compute, memory, barriers, and critical
 // sections (FFT has all four) at a core count where arbitration matters.
-// It runs twice: unsampled, and sampled into 64 intervals as a DTM
-// replay is, where the fused loop defers compute charges and every
+// It runs twice: unsampled, and sampled into 64 intervals as a governed
+// DTM run is, where the fused loop defers compute charges and every
 // interval sample must match too.
 func checkBatchedEngine() error {
 	run := func(unbatched bool, sampleCycles float64) (*cmppower.SimResult, error) {

@@ -12,7 +12,9 @@ import (
 
 // BenchmarkSampledOverhead prices interval sampling on the fused loop:
 // each iteration runs one application unsampled and then sampled into
-// 64 intervals (the DTM replay's sampling), and the benchmark reports
+// 64 equal intervals of its own length (the density a governed DTM run
+// of the reference length gets; the DTM period itself is fixed in
+// modelled time, see experiment.DTMConfig), and the benchmark reports
 // the median sampled/unsampled time ratio over its iterations and the
 // median sampled run time, which compares across builds. Scale
 // 1.0 and N ∈ {1, 16}: one core has nothing to order, sixteen order the

@@ -30,9 +30,10 @@ func (r *Rig) SurrogateKey(app string) surrogate.Key {
 // feedSurrogate hands one completed measurement to the attached
 // surrogate store. Only clean runs train the fit: active fault
 // injection perturbs the simulation (and already bypasses the memo for
-// the same reason), and DTM replays change nothing about the base
-// measurement but mark the rig as a different workload intent — both
-// are excluded so the surrogate only ever models the pure simulator.
+// the same reason), and a DTM rig's governed runs change nothing about
+// the base measurement but mark the rig as a different workload
+// intent — both are excluded so the surrogate only ever models the pure
+// simulator.
 func (r *Rig) feedSurrogate(m *Measurement) {
 	if r.Surrogate == nil || r.DTM != nil || !r.memoizable() {
 		return
