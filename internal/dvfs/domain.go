@@ -137,15 +137,3 @@ func (ds *DomainSet) CorePoints(t *Table, lead OperatingPoint) []OperatingPoint 
 	}
 	return per
 }
-
-// Settings returns one freshly pinned Setting per domain, each at its
-// domain's derivation of the table's nominal point. The DTM controller
-// governs multi-domain chips through these, one governor per island.
-func (ds *DomainSet) Settings(t *Table) []*Setting {
-	out := make([]*Setting, len(ds.domains))
-	for di := range ds.domains {
-		p := ds.PointFor(t, di, t.Nominal())
-		out[di] = &Setting{Point: p, Nominal: p}
-	}
-	return out
-}

@@ -42,7 +42,8 @@ type DTMConfig struct {
 	// TimeDilation stretches each interval's wall-clock duration as seen
 	// by the thermal network (the same device as Rig.Transient: scaled
 	// workloads run for milliseconds while die time constants are tens of
-	// milliseconds; dilation models the program phase repeating).
+	// milliseconds; dilation models the program phase repeating). At most
+	// maxTimeDilation.
 	TimeDilation float64
 }
 
@@ -56,6 +57,16 @@ const dtmReferenceS = 320e-6
 // takes about Intervals·T/(dtmReferenceS·Scale) samples, and each costs
 // a power evaluation and a transient thermal step.
 const maxDTMIntervals = 1024
+
+// maxTimeDilation bounds the time dilation of a DTM run and of a
+// transient trace (DTMConfig.TimeDilation, TransientConfig.TimeDilation):
+// 5000 times the default of 2000, and still far past the heat sink's
+// ~40 s equilibration for a millisecond-long run. Each dilated interval
+// costs duration/dtStable explicit-Euler substeps in TransientStep
+// (dtStable is 0.70 ms on the 16-core chip, 45.6 µs on a 256-core one),
+// so an unbounded dilation never finishes; TransientStep also refuses
+// any single interval that would need more than its substep bound.
+const maxTimeDilation = 1e7
 
 // DefaultDTMConfig returns the standard controller: trip 4 °C under the
 // die limit, 5 °C of hysteresis, two rungs per emergency, 64 control
@@ -82,8 +93,8 @@ func (c DTMConfig) Validate() error {
 		return check.Fail("StepDown", float64(c.StepDown), "experiment: DTM step-down %d < 1", c.StepDown)
 	case c.Intervals < 2 || c.Intervals > maxDTMIntervals:
 		return check.Fail("Intervals", float64(c.Intervals), "experiment: DTM intervals %d outside [2,%d]", c.Intervals, maxDTMIntervals)
-	case !(c.TimeDilation > 0 && check.Finite(c.TimeDilation)):
-		return check.Fail("TimeDilation", c.TimeDilation, "experiment: DTM time dilation %g must be finite and positive", c.TimeDilation)
+	case !(c.TimeDilation > 0 && c.TimeDilation <= maxTimeDilation):
+		return check.Fail("TimeDilation", c.TimeDilation, "experiment: DTM time dilation %g outside (0, %g]", c.TimeDilation, maxTimeDilation)
 	}
 	return nil
 }
@@ -266,41 +277,35 @@ func (r *Rig) governDTM(dc DTMConfig, n int, req dvfs.OperatingPoint, samples []
 			blockDom[i] = lead
 		}
 	}
-	active := r.activeCores(n)
-
-	state := r.TM.NewTransientState()
+	rp := r.newReplay(n, r.TM.Params().AmbientC, dc.TimeDilation)
 	st := &DTMStats{FinalPoint: reqD[lead]}
 	corePoints := make([]dvfs.OperatingPoint, r.TotalCores)
 	var totalSec, nominalSec, throttledSec float64
 	for _, s := range samples {
-		leadCur := governors[lead].Point
-		cycles := s.EndCycle - s.StartCycle
-		realDt := cycles / leadCur.Freq
-		nominalSec += cycles / reqD[lead].Freq
-		totalSec += realDt
 		throttled := false
 		for di, g := range governors {
 			if g.Point.Freq < reqD[di].Freq {
 				throttled = true
 			}
 		}
-		if throttled {
-			throttledSec += realDt
-		}
 		for c := range corePoints {
 			corePoints[c] = governors[coreDom[c]].Point
 		}
-		_, total, err := r.intervalPower(s.Activity, realDt, int64(cycles)+1, leadCur, corePoints, active, state.Block)
+		// The interval runs at the lead island's current point, the
+		// engine's reference clock.
+		realDt, err := rp.step(s, governors[lead].Point, corePoints)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.TM.TransientStep(state, total, realDt*dc.TimeDilation); err != nil {
-			return nil, err
+		nominalSec += (s.EndCycle - s.StartCycle) / reqD[lead].Freq
+		totalSec += realDt
+		if throttled {
+			throttledSec += realDt
 		}
-		if truePeak := thermal.Peak(state.Block); truePeak > st.PeakTempC {
+		if truePeak := thermal.Peak(rp.state.Block); truePeak > st.PeakTempC {
 			st.PeakTempC = truePeak
 		}
-		sensed := thermal.Sense(state.Block, sensors)
+		sensed := thermal.Sense(rp.state.Block, sensors)
 		for di := range governors {
 			var reading float64
 			for i := range sensed {

@@ -128,8 +128,9 @@ func TestDTMConfigValidate(t *testing.T) {
 	}
 	edge := DefaultDTMConfig()
 	edge.Intervals = maxDTMIntervals
+	edge.TimeDilation = maxTimeDilation
 	if err := edge.Validate(); err != nil {
-		t.Errorf("%d intervals rejected: %v", maxDTMIntervals, err)
+		t.Errorf("%d intervals at dilation %g rejected: %v", maxDTMIntervals, maxTimeDilation, err)
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []struct {
@@ -149,6 +150,10 @@ func TestDTMConfigValidate(t *testing.T) {
 		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = 0 }},
 		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = nan }},
 		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = inf }},
+		// Finite but past the bound: 1e300 used to pass and hang RunApp in
+		// TransientStep's substep loop.
+		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = 1e300 }},
+		{"TimeDilation", func(c *DTMConfig) { c.TimeDilation = math.Nextafter(maxTimeDilation, inf) }},
 	}
 	for i, tc := range bad {
 		c := DefaultDTMConfig()

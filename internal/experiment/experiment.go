@@ -208,15 +208,22 @@ func (r *Rig) Simulate(ctx context.Context, app splash.App, n int, p dvfs.Operat
 	if tune != nil {
 		tune(&cfg)
 	}
-	res, err := cmp.Run(app.Program(r.Scale), cfg)
-	if err != nil {
-		return nil, nil, err
+	res, pw, _, err := r.simulate(app, n, p, cfg)
+	return res, pw, err
+}
+
+// simulate runs app under cfg and prices the run at lead point p with its
+// first n cores powered: the one simulate-then-evaluate step of runApp
+// and Simulate. On failure, step names the half that failed, "simulate"
+// or "evaluate", as RunError reports it.
+func (r *Rig) simulate(app splash.App, n int, p dvfs.OperatingPoint, cfg cmp.Config) (res *cmp.Result, pw *power.Result, step string, err error) {
+	if res, err = cmp.Run(app.Program(r.Scale), cfg); err != nil {
+		return nil, nil, "simulate", err
 	}
-	pw, err := r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, n)
-	if err != nil {
-		return nil, nil, err
+	if pw, err = r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, r.activeCores(n)); err != nil {
+		return nil, nil, "evaluate", err
 	}
-	return res, pw, nil
+	return res, pw, "", nil
 }
 
 // RunAppCtx is RunApp under a context: cancellation aborts the simulation
@@ -297,13 +304,9 @@ func (r *Rig) runApp(ctx context.Context, app splash.App, n int, p dvfs.Operatin
 	if dc != nil {
 		cfg.SampleCycles = dc.periodCycles(r.Scale, p)
 	}
-	res, err := cmp.Run(app.Program(r.Scale), cfg)
+	res, pw, step, err := r.simulate(app, n, p, cfg)
 	if err != nil {
-		return nil, fail("simulate", err)
-	}
-	pw, err := r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, n)
-	if err != nil {
-		return nil, fail("evaluate", err)
+		return nil, fail(step, err)
 	}
 	m = &Measurement{
 		App: app.Name, N: n, Point: p,

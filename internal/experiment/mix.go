@@ -75,7 +75,7 @@ func (r *Rig) Mix(apps []splash.App, p dvfs.OperatingPoint) (*MixResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	pw, err := r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, n)
+	pw, err := r.evaluateRun(res.Activity, res.Seconds, int64(res.Cycles)+1, p, r.activeCores(n))
 	if err != nil {
 		return nil, err
 	}

@@ -117,7 +117,7 @@ func (r *Rig) Placement(app splash.App, n int) (*PlacementStudy, error) {
 		for _, c := range perm {
 			active[c] = true
 		}
-		pw, err := r.Meter.EvaluateSet(r.FP, r.TM, act, res.Seconds, int64(res.Cycles)+1, p, active)
+		pw, err := r.evaluateRun(act, res.Seconds, int64(res.Cycles)+1, p, active)
 		if err != nil {
 			return nil, err
 		}

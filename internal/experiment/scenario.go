@@ -6,7 +6,6 @@ import (
 	"cmppower/internal/cpu"
 	"cmppower/internal/dvfs"
 	"cmppower/internal/floorplan"
-	"cmppower/internal/phys"
 	"cmppower/internal/power"
 	"cmppower/internal/scenario"
 	"cmppower/internal/thermal"
@@ -169,32 +168,11 @@ func (r *Rig) activeCores(n int) []bool {
 	return active
 }
 
-// evaluateRun solves the power/thermal evaluation of an n-core run at
-// lead point p, each core block charged at its own core's point.
-func (r *Rig) evaluateRun(act *power.Activity, seconds float64, cycles int64, p dvfs.OperatingPoint, n int) (*power.Result, error) {
-	return r.Meter.EvaluateHetero(r.FP, r.TM, act, seconds, cycles, p, r.corePoints(p), r.activeCores(n))
-}
-
-// intervalPower prices one interval of a transient replay: dynamic power
-// with each core block at its own core's point and the shared blocks at
-// lead, and static power from the block temperatures at the interval's
-// start. The explicit leakage coupling is stable because intervals are
-// short against the die's thermal time constants.
-func (r *Rig) intervalPower(act *power.Activity, dt float64, cycles int64, lead dvfs.OperatingPoint, points []dvfs.OperatingPoint, active []bool, temps []float64) (dyn, total []float64, err error) {
-	dyn, err = r.Meter.DynamicBlockPowerHetero(r.FP, act, dt, cycles, lead, points, active)
-	if err != nil {
-		return nil, nil, err
-	}
-	total = make([]float64, len(dyn))
-	for i, b := range r.FP.Blocks {
-		v := lead.Volt
-		if b.Core >= 0 && b.Core < len(points) {
-			v = points[b.Core].Volt
-		}
-		frac := r.Meter.StaticFraction(v, phys.Clamp(temps[i], phys.AmbientTempC, 120))
-		total[i] = dyn[i] * (1 + frac)
-	}
-	return dyn, total, nil
+// evaluateRun solves the power/thermal evaluation of a run at lead point
+// p with the cores marked in active powered, each core block charged at
+// its own core's point.
+func (r *Rig) evaluateRun(act *power.Activity, seconds float64, cycles int64, p dvfs.OperatingPoint, active []bool) (*power.Result, error) {
+	return r.Meter.EvaluateHetero(r.FP, r.TM, act, seconds, cycles, p, r.corePoints(p), active)
 }
 
 // leadDomain picks the reference-clock island for multi-domain DTM: the

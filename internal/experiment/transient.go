@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 
+	"cmppower/internal/check"
 	"cmppower/internal/cmp"
 	"cmppower/internal/dvfs"
-	"cmppower/internal/floorplan"
 	"cmppower/internal/phys"
 	"cmppower/internal/splash"
 	"cmppower/internal/thermal"
@@ -60,8 +60,8 @@ func (r *Rig) Transient(app splash.App, n int, p dvfs.OperatingPoint, tc Transie
 	if !app.RunsOn(n) {
 		return nil, fmt.Errorf("experiment: %s does not run on %d cores", app.Name, n)
 	}
-	if tc.TimeDilation <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive time dilation %g", tc.TimeDilation)
+	if !(tc.TimeDilation > 0 && tc.TimeDilation <= maxTimeDilation) {
+		return nil, check.Fail("TimeDilation", tc.TimeDilation, "experiment: time dilation %g outside (0, %g]", tc.TimeDilation, maxTimeDilation)
 	}
 	if tc.StartTempC == 0 {
 		tc.StartTempC = phys.AmbientTempC
@@ -90,43 +90,76 @@ func (r *Rig) Transient(app splash.App, n int, p dvfs.OperatingPoint, tc Transie
 		return nil, errors.New("experiment: run produced no samples")
 	}
 
-	state := r.TM.NewTransientState()
-	for i := range state.Block {
-		state.Block[i] = tc.StartTempC
-	}
-	state.SinkC = tc.StartTempC
-	points, active := r.corePoints(p), r.activeCores(n)
+	rp := r.newReplay(n, tc.StartTempC, tc.TimeDilation)
+	points, coreBlocks := r.corePoints(p), thermal.ActiveCores(n)
 	var trace []TransientPoint
 	for _, s := range res.Samples {
-		cycles := s.EndCycle - s.StartCycle
-		// Power is the interval's real average (activity over real time);
-		// dilation only stretches how long the thermal network sees it.
-		realDt := cycles / p.Freq
-		dt := realDt * tc.TimeDilation
-		dyn, total, err := r.intervalPower(s.Activity, realDt, int64(cycles)+1, p, points, active, state.Block)
+		realDt, err := rp.step(s, p, points)
 		if err != nil {
 			return nil, err
 		}
 		var dynW, totW float64
-		for i := range dyn {
-			dynW += dyn[i]
-			totW += total[i]
+		for i := range rp.dyn {
+			dynW += rp.dyn[i]
+			totW += rp.total[i]
 		}
-		if err := r.TM.TransientStep(state, total, dt); err != nil {
-			return nil, err
-		}
-		pt := TransientPoint{
-			StartCycle: s.StartCycle,
-			EndCycle:   s.EndCycle,
-			Seconds:    dt,
-			DynW:       dynW,
-			TotalW:     totW,
-			PeakTempC:  thermal.Peak(state.Block),
-		}
-		pt.AvgCoreTempC = r.TM.AvgWeighted(state.Block, func(b floorplan.Block) bool {
-			return b.Core >= 0 && b.Core < n
+		trace = append(trace, TransientPoint{
+			StartCycle:   s.StartCycle,
+			EndCycle:     s.EndCycle,
+			Seconds:      realDt * tc.TimeDilation,
+			DynW:         dynW,
+			TotalW:       totW,
+			AvgCoreTempC: r.TM.AvgWeighted(rp.state.Block, coreBlocks),
+			PeakTempC:    thermal.Peak(rp.state.Block),
 		})
-		trace = append(trace, pt)
 	}
 	return trace, nil
+}
+
+// replay steps the die through a sampled run one interval at a time: the
+// one interval step that Rig.Transient and the DTM governor share.
+type replay struct {
+	r        *Rig
+	state    *thermal.TransientState
+	active   []bool
+	dilation float64
+	// dyn and total are the last interval's per-block dynamic and total
+	// power; total is one buffer reused by every interval.
+	dyn, total []float64
+}
+
+// newReplay starts the replay of an n-core run with every block and the
+// heat sink at startC, each interval's real length stretched by dilation
+// as the thermal network sees it.
+func (r *Rig) newReplay(n int, startC, dilation float64) *replay {
+	st := r.TM.NewTransientState()
+	for i := range st.Block {
+		st.Block[i] = startC
+	}
+	st.SinkC = startC
+	return &replay{r: r, state: st, active: r.activeCores(n), dilation: dilation, total: make([]float64, len(st.Block))}
+}
+
+// step prices sample s with the chip at lead point lead and each core at
+// its entry of points: dynamic power is the sample's activity over its
+// real length at those points, and static power follows each block's
+// temperature at the interval's start, an explicit leakage coupling that
+// is stable because intervals are short against the die's thermal time
+// constants. It then advances the die through the dilated interval and
+// returns the interval's real length in seconds.
+func (rp *replay) step(s cmp.Sample, lead dvfs.OperatingPoint, points []dvfs.OperatingPoint) (float64, error) {
+	r := rp.r
+	cycles := s.EndCycle - s.StartCycle
+	// Power is the interval's real average (activity over real time);
+	// dilation only stretches how long the thermal network sees it.
+	realDt := cycles / lead.Freq
+	dyn, err := r.Meter.DynamicBlockPowerHetero(r.FP, s.Activity, realDt, int64(cycles)+1, lead, points, rp.active)
+	if err != nil {
+		return 0, err
+	}
+	for i := range rp.total {
+		rp.total[i] = dyn[i] * (1 + r.Meter.BlockStaticFraction(r.FP.Blocks[i].Core, lead, points, rp.state.Block[i]))
+	}
+	rp.dyn = dyn
+	return realDt, r.TM.TransientStep(rp.state, rp.total, realDt*rp.dilation)
 }

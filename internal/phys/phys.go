@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"cmppower/internal/check"
 )
 
 // Reference temperatures used throughout the model, in degrees Celsius.
@@ -151,25 +153,34 @@ func Tech65() Technology {
 	}
 }
 
-// Validate reports whether the descriptor is physically sensible.
+// Validate reports whether the descriptor is physically sensible. Every
+// failure is a *check.Error naming the field; NaN and the infinities fail
+// every field.
 func (t Technology) Validate() error {
+	fail := func(field string, v float64, rule string) error {
+		return check.Fail(field, v, "phys: %s: %s %s, got %g", t.Name, field, rule, v)
+	}
 	switch {
-	case t.Vdd <= 0:
-		return fmt.Errorf("phys: %s: Vdd must be positive, got %g", t.Name, t.Vdd)
-	case t.Vth <= 0 || t.Vth >= t.Vdd:
-		return fmt.Errorf("phys: %s: Vth must be in (0, Vdd), got %g", t.Name, t.Vth)
-	case t.FNominal <= 0:
-		return fmt.Errorf("phys: %s: FNominal must be positive, got %g", t.Name, t.FNominal)
-	case t.Alpha < 1 || t.Alpha > 3:
-		return fmt.Errorf("phys: %s: Alpha out of plausible range [1,3], got %g", t.Name, t.Alpha)
-	case t.VminOverVth < 1:
-		return fmt.Errorf("phys: %s: VminOverVth must be >= 1, got %g", t.Name, t.VminOverVth)
+	case !(t.Vdd > 0 && check.Finite(t.Vdd)):
+		return fail("Vdd", t.Vdd, "must be finite and positive")
+	case !(t.Vth > 0 && t.Vth < t.Vdd):
+		return fail("Vth", t.Vth, "must be in (0, Vdd)")
+	case !(t.FNominal > 0 && check.Finite(t.FNominal)):
+		return fail("FNominal", t.FNominal, "must be finite and positive")
+	case !check.In(t.Alpha, 1, 3):
+		return fail("Alpha", t.Alpha, "out of plausible range [1,3]")
+	case !check.In(t.VminOverVth, 1, math.MaxFloat64):
+		return fail("VminOverVth", t.VminOverVth, "must be finite and >= 1")
 	case t.VminOverVth*t.Vth > t.Vdd:
-		return fmt.Errorf("phys: %s: Vmin %.3g exceeds Vdd %.3g", t.Name, t.VminOverVth*t.Vth, t.Vdd)
-	case t.StaticShare < 0 || t.StaticShare >= 1:
-		return fmt.Errorf("phys: %s: StaticShare must be in [0,1), got %g", t.Name, t.StaticShare)
-	case t.CapScale < 0:
-		return fmt.Errorf("phys: %s: CapScale must be >= 0 (0 means 1), got %g", t.Name, t.CapScale)
+		return check.Fail("VminOverVth", t.VminOverVth, "phys: %s: Vmin %.3g exceeds Vdd %.3g", t.Name, t.VminOverVth*t.Vth, t.Vdd)
+	case !check.Finite(t.LeakBetaV):
+		return fail("LeakBetaV", t.LeakBetaV, "must be finite")
+	case !check.Finite(t.LeakBetaT):
+		return fail("LeakBetaT", t.LeakBetaT, "must be finite")
+	case !(t.StaticShare >= 0 && t.StaticShare < 1):
+		return fail("StaticShare", t.StaticShare, "must be in [0,1)")
+	case !check.In(t.CapScale, 0, math.MaxFloat64):
+		return fail("CapScale", t.CapScale, "must be finite and >= 0 (0 means 1)")
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"cmppower/internal/check"
 )
 
 func TestDefaultsValidate(t *testing.T) {
@@ -37,6 +39,32 @@ func TestValidateRejectsBadDescriptors(t *testing.T) {
 		c.mutate(&tech)
 		if err := tech.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid descriptor", c.name)
+		}
+	}
+	// Every float field refuses NaN and both infinities with a
+	// *check.Error naming it; NaN Vth, Alpha and StaticShare used to pass.
+	fields := []struct {
+		name string
+		ptr  func(*Technology) *float64
+	}{
+		{"Vdd", func(x *Technology) *float64 { return &x.Vdd }},
+		{"Vth", func(x *Technology) *float64 { return &x.Vth }},
+		{"FNominal", func(x *Technology) *float64 { return &x.FNominal }},
+		{"Alpha", func(x *Technology) *float64 { return &x.Alpha }},
+		{"VminOverVth", func(x *Technology) *float64 { return &x.VminOverVth }},
+		{"LeakBetaV", func(x *Technology) *float64 { return &x.LeakBetaV }},
+		{"LeakBetaT", func(x *Technology) *float64 { return &x.LeakBetaT }},
+		{"StaticShare", func(x *Technology) *float64 { return &x.StaticShare }},
+		{"CapScale", func(x *Technology) *float64 { return &x.CapScale }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			tech := Tech65()
+			*f.ptr(&tech) = v
+			var ce *check.Error
+			if err := tech.Validate(); !errors.As(err, &ce) || ce.Field != f.name {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }

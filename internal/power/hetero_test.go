@@ -46,9 +46,12 @@ func sampleActivity(nCores, active int) *Activity {
 	return act
 }
 
-// Uniform points must reproduce the chip-wide path bit for bit: every
-// baseline output goes through the per-core loop with all cores at the
-// lead point, so this guards the loop's expression order.
+// Uniform points must reproduce the chip-wide evaluation bit for bit: a
+// leakage fixed point over DynamicBlockPower's watts with every block
+// leaking at the lead supply, assembled here from the public pieces the
+// way the benchmark harness rebuilds it. Every baseline output goes
+// through the per-core loop with all cores at the lead point, so this
+// guards the loop's expression order.
 func TestHeteroMatchesChipWideOnUniformPoints(t *testing.T) {
 	fp, tm, m, tab := heteroRig(t)
 	act := sampleActivity(4, 4)
@@ -58,24 +61,65 @@ func TestHeteroMatchesChipWideOnUniformPoints(t *testing.T) {
 	active := []bool{true, true, true, true}
 	points := []dvfs.OperatingPoint{lead, lead, lead, lead}
 
-	want, err := m.EvaluateSet(fp, tm, act, elapsed, cycles, lead, active)
+	dyn, err := m.DynamicBlockPower(fp, act, elapsed, cycles, lead, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.EvaluateHetero(fp, tm, act, elapsed, cycles, lead, points, active)
+	leak := func(i int, tempC float64) float64 {
+		return dyn[i] * m.BlockStaticFraction(-1, lead, nil, tempC)
+	}
+	temps, total, err := tm.SteadyStateCoupled(dyn, leak, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TotalW != want.TotalW || got.DynW != want.DynW || got.StaticW != want.StaticW {
-		t.Errorf("uniform hetero differs: got %+v want %+v", got, want)
+	for _, eval := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"EvaluateHetero", func() (*Result, error) {
+			return m.EvaluateHetero(fp, tm, act, elapsed, cycles, lead, points, active)
+		}},
+		{"Evaluate", func() (*Result, error) { return m.Evaluate(fp, tm, act, elapsed, cycles, lead, 4) }},
+	} {
+		got, err := eval.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dyn {
+			if got.BlockDyn[i] != dyn[i] || got.BlockTotal[i] != total[i] || got.TempC[i] != temps[i] {
+				t.Fatalf("%s block %d: dyn/total/temp %g/%g/%g, chip-wide %g/%g/%g", eval.name, i,
+					got.BlockDyn[i], got.BlockTotal[i], got.TempC[i], dyn[i], total[i], temps[i])
+			}
+		}
 	}
-	if got.PeakTempC != want.PeakTempC || got.AvgCoreTemp != want.AvgCoreTemp {
-		t.Errorf("uniform hetero temps differ: got %g/%g want %g/%g",
-			got.PeakTempC, got.AvgCoreTemp, want.PeakTempC, want.AvgCoreTemp)
+}
+
+// The leakage rule: a core block leaks at its own core's supply, a shared
+// block at the lead supply, and the temperature is clamped to [ambient,
+// 120 °C] first.
+func TestBlockStaticFractionRule(t *testing.T) {
+	_, _, m, tab := heteroRig(t)
+	lead := tab.Nominal()
+	slow := tab.PointFor(lead.Freq / 2)
+	points := []dvfs.OperatingPoint{lead, slow}
+	cases := []struct {
+		name  string
+		core  int
+		tempC float64
+		volt  float64
+		seenC float64
+	}{
+		{"core at its own point", 1, 70, slow.Volt, 70},
+		{"core at the lead point", 0, 70, lead.Volt, 70},
+		{"shared block", -1, 70, lead.Volt, 70},
+		{"core outside the point list", 2, 70, lead.Volt, 70},
+		{"below ambient", 1, 10, slow.Volt, phys.AmbientTempC},
+		{"above 120 °C", -1, 400, lead.Volt, 120},
 	}
-	for i := range got.BlockDyn {
-		if got.BlockDyn[i] != want.BlockDyn[i] {
-			t.Fatalf("block %d dyn differs: %g vs %g", i, got.BlockDyn[i], want.BlockDyn[i])
+	for _, c := range cases {
+		got := m.BlockStaticFraction(c.core, lead, points, c.tempC)
+		if want := m.StaticFraction(c.volt, c.seenC); got != want {
+			t.Errorf("%s: %g, want StaticFraction(%g V, %g °C) = %g", c.name, got, c.volt, c.seenC, want)
 		}
 	}
 }

@@ -89,49 +89,6 @@ func (a *Activity) Total() int64 {
 	return t
 }
 
-// Clone returns a deep copy of the record.
-func (a *Activity) Clone() *Activity {
-	c := NewActivity(a.nCores)
-	for i := range a.core {
-		copy(c.core[i], a.core[i])
-	}
-	copy(c.sleep, a.sleep)
-	c.l2, c.bus = a.l2, a.bus
-	return c
-}
-
-// Sub returns a - prev, the activity accumulated since the prev snapshot.
-// prev must be an earlier snapshot of the same record (same core count,
-// monotonically smaller counts).
-func (a *Activity) Sub(prev *Activity) (*Activity, error) {
-	if prev.nCores != a.nCores {
-		return nil, fmt.Errorf("power: activity core counts differ (%d vs %d)", a.nCores, prev.nCores)
-	}
-	d := NewActivity(a.nCores)
-	for c := range a.core {
-		for u := range a.core[c] {
-			v := a.core[c][u] - prev.core[c][u]
-			if v < 0 {
-				return nil, fmt.Errorf("power: activity went backwards for core %d unit %d", c, u)
-			}
-			d.core[c][u] = v
-		}
-	}
-	for c := range a.sleep {
-		v := a.sleep[c] - prev.sleep[c]
-		if v < 0 {
-			return nil, fmt.Errorf("power: sleep cycles went backwards for core %d", c)
-		}
-		d.sleep[c] = v
-	}
-	d.l2 = a.l2 - prev.l2
-	d.bus = a.bus - prev.bus
-	if d.l2 < 0 || d.bus < 0 {
-		return nil, errors.New("power: shared activity went backwards")
-	}
-	return d, nil
-}
-
 // Remap returns a copy of the record with core i's counters moved to
 // physical core perm[i] (unmapped cores stay empty). perm must be a
 // injective mapping into [0, NCores).
@@ -226,12 +183,12 @@ func (m *Meter) Tech() phys.Technology { return m.tech }
 // the interval: act accumulated over elapsed seconds and cycles chip
 // cycles at operating point op, with the first activeCores cores powered
 // (the rest are shut down and burn nothing). The block order matches
-// fp.Blocks.
+// fp.Blocks. It is DynamicBlockPowerHetero with every core at op.
 func (m *Meter) DynamicBlockPower(fp *floorplan.Floorplan, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, activeCores int) ([]float64, error) {
 	if act.nCores < activeCores {
 		return nil, fmt.Errorf("power: activity sized for %d cores, need %d", act.nCores, activeCores)
 	}
-	return m.DynamicBlockPowerSet(fp, act, elapsed, cycles, op, prefixSet(act.nCores, activeCores))
+	return m.DynamicBlockPowerHetero(fp, act, elapsed, cycles, op, uniformPoints(act.nCores, op), prefixSet(act.nCores, activeCores))
 }
 
 // prefixSet marks cores 0..n-1 active.
@@ -243,12 +200,6 @@ func prefixSet(total, n int) []bool {
 	return set
 }
 
-// DynamicBlockPowerSet is DynamicBlockPower with an arbitrary active-core
-// set (thermal-aware placement studies activate non-contiguous cores).
-func (m *Meter) DynamicBlockPowerSet(fp *floorplan.Floorplan, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, active []bool) ([]float64, error) {
-	return m.DynamicBlockPowerHetero(fp, act, elapsed, cycles, op, uniformPoints(act.nCores, op), active)
-}
-
 // uniformPoints puts all n cores at op.
 func uniformPoints(n int, op dvfs.OperatingPoint) []dvfs.OperatingPoint {
 	pts := make([]dvfs.OperatingPoint, n)
@@ -258,11 +209,13 @@ func uniformPoints(n int, op dvfs.OperatingPoint) []dvfs.OperatingPoint {
 	return pts
 }
 
-// DynamicBlockPowerHetero is DynamicBlockPowerSet with one operating
-// point per physical core, for chips whose DVFS domains run cores at
-// different supplies: each core block's per-access energy scales with its
-// own core's voltage, while the shared L2 and bus charge at the lead
-// (uncore) point. corePoints must have act.NCores() entries.
+// DynamicBlockPowerHetero is the one dynamic-power implementation, under
+// the steady and the interval evaluations alike: per-block watts as for
+// DynamicBlockPower, with each core block's per-access energy scaled by
+// its own core's supply from corePoints (one entry per physical core,
+// act.NCores() of them) while the shared L2 and bus charge at the lead
+// (uncore) point. Only the cores marked in active burn power; they need
+// not be a contiguous prefix (thermal-aware placement scatters them).
 func (m *Meter) DynamicBlockPowerHetero(fp *floorplan.Floorplan, act *Activity, elapsed float64, cycles int64, lead dvfs.OperatingPoint, corePoints []dvfs.OperatingPoint, active []bool) ([]float64, error) {
 	if elapsed <= 0 || cycles <= 0 {
 		return nil, fmt.Errorf("power: non-positive interval (elapsed=%g cycles=%d)", elapsed, cycles)
@@ -344,25 +297,38 @@ type Result struct {
 	CoreDensity float64
 }
 
-// Evaluate solves the coupled power/thermal problem for one interval and
-// returns the full breakdown.
+// BlockStaticFraction is the leakage rule of every power evaluation,
+// steady and interval alike: the static-to-dynamic ratio of a floorplan
+// block owned by core (-1 for the shared L2 and bus) at temperature
+// tempC. The block's supply is its core's entry of corePoints, or the
+// lead point for shared blocks; the temperature is clamped to [ambient,
+// 120 °C] before StaticFraction applies.
+func (m *Meter) BlockStaticFraction(core int, lead dvfs.OperatingPoint, corePoints []dvfs.OperatingPoint, tempC float64) float64 {
+	v := lead.Volt
+	if core >= 0 && core < len(corePoints) {
+		v = corePoints[core].Volt
+	}
+	// Clamp the temperature seen by the leakage model: real parts
+	// thermally throttle near 120 °C, and an unclamped exponential can
+	// otherwise run away numerically for power-virus inputs.
+	return m.StaticFraction(v, phys.Clamp(tempC, phys.AmbientTempC, 120))
+}
+
+// Evaluate solves the coupled power/thermal problem for one interval with
+// every core at op and the first activeCores cores powered, and returns
+// the full breakdown. It is EvaluateHetero with every core at op.
 func (m *Meter) Evaluate(fp *floorplan.Floorplan, tm *thermal.Model, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, activeCores int) (*Result, error) {
 	if act.nCores < activeCores {
 		return nil, fmt.Errorf("power: activity sized for %d cores, need %d", act.nCores, activeCores)
 	}
-	return m.EvaluateSet(fp, tm, act, elapsed, cycles, op, prefixSet(act.nCores, activeCores))
+	return m.EvaluateHetero(fp, tm, act, elapsed, cycles, op, uniformPoints(act.nCores, op), prefixSet(act.nCores, activeCores))
 }
 
-// EvaluateSet is Evaluate with an arbitrary active-core set, for
-// thermal-aware placement studies where the powered cores are not a
-// contiguous prefix.
-func (m *Meter) EvaluateSet(fp *floorplan.Floorplan, tm *thermal.Model, act *Activity, elapsed float64, cycles int64, op dvfs.OperatingPoint, active []bool) (*Result, error) {
-	return m.EvaluateHetero(fp, tm, act, elapsed, cycles, op, uniformPoints(act.nCores, op), active)
-}
-
-// EvaluateHetero is EvaluateSet with one operating point per physical
-// core: dynamic energy and the leakage fraction of each core block use
-// that core's supply, shared blocks the lead point.
+// EvaluateHetero is the steady evaluation every measurement shares: the
+// interval's dynamic power (DynamicBlockPowerHetero) with static power
+// added at the leakage↔temperature fixed point, each block leaking by
+// BlockStaticFraction. corePoints and active are as for
+// DynamicBlockPowerHetero.
 func (m *Meter) EvaluateHetero(fp *floorplan.Floorplan, tm *thermal.Model, act *Activity, elapsed float64, cycles int64, lead dvfs.OperatingPoint, corePoints []dvfs.OperatingPoint, active []bool) (*Result, error) {
 	if tm.Floorplan() != fp {
 		return nil, errors.New("power: thermal model built for a different floorplan")
@@ -372,14 +338,7 @@ func (m *Meter) EvaluateHetero(fp *floorplan.Floorplan, tm *thermal.Model, act *
 		return nil, err
 	}
 	leak := func(i int, tempC float64) float64 {
-		v := lead.Volt
-		if c := fp.Blocks[i].Core; c >= 0 && c < len(corePoints) {
-			v = corePoints[c].Volt
-		}
-		// Clamp the temperature seen by the leakage model: real parts
-		// thermally throttle near 120 °C, and an unclamped exponential can
-		// otherwise run away numerically for power-virus inputs.
-		return dyn[i] * m.StaticFraction(v, phys.Clamp(tempC, phys.AmbientTempC, 120))
+		return dyn[i] * m.BlockStaticFraction(fp.Blocks[i].Core, lead, corePoints, tempC)
 	}
 	temps, total, err := tm.SteadyStateCoupled(dyn, leak, 0.01)
 	if err != nil {

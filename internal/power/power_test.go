@@ -316,57 +316,6 @@ func TestMoreCoresAtScaledVFBurnLessThanOneHot(t *testing.T) {
 	}
 }
 
-func TestActivityCloneAndSub(t *testing.T) {
-	a := NewActivity(2)
-	a.AddCore(0, floorplan.UnitIALU, 10)
-	a.AddSleep(1, 7)
-	a.AddL2(3)
-	a.AddBus(2)
-	c := a.Clone()
-	if c.CoreCount(0, floorplan.UnitIALU) != 10 || c.SleepCount(1) != 7 ||
-		c.L2Count() != 3 || c.BusCount() != 2 {
-		t.Fatal("clone lost counts")
-	}
-	// Mutating the clone does not touch the original.
-	c.AddCore(0, floorplan.UnitIALU, 5)
-	if a.CoreCount(0, floorplan.UnitIALU) != 10 {
-		t.Error("clone aliases original")
-	}
-	b := a.Clone()
-	b.AddCore(0, floorplan.UnitIALU, 4)
-	b.AddL2(1)
-	d, err := b.Sub(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.CoreCount(0, floorplan.UnitIALU) != 4 || d.L2Count() != 1 || d.SleepCount(1) != 0 {
-		t.Errorf("delta wrong: %d/%d", d.CoreCount(0, floorplan.UnitIALU), d.L2Count())
-	}
-}
-
-func TestActivitySubErrors(t *testing.T) {
-	a := NewActivity(2)
-	other := NewActivity(3)
-	if _, err := a.Sub(other); err == nil {
-		t.Error("accepted mismatched core counts")
-	}
-	prev := NewActivity(2)
-	prev.AddCore(0, floorplan.UnitIALU, 5)
-	if _, err := a.Sub(prev); err == nil {
-		t.Error("accepted backwards unit counts")
-	}
-	prev = NewActivity(2)
-	prev.AddSleep(0, 5)
-	if _, err := a.Sub(prev); err == nil {
-		t.Error("accepted backwards sleep counts")
-	}
-	prev = NewActivity(2)
-	prev.AddL2(5)
-	if _, err := a.Sub(prev); err == nil {
-		t.Error("accepted backwards shared counts")
-	}
-}
-
 func TestSleepResidualLowersIdlePower(t *testing.T) {
 	r := newRig(t, 4)
 	op := r.tab.Nominal()

@@ -144,17 +144,6 @@ func (s *Series) At(x float64) float64 {
 	return s.Y[i-1] + w*(s.Y[i]-s.Y[i-1])
 }
 
-// ArgMax returns the x with the largest y (first on ties).
-func (s *Series) ArgMax() (x, y float64) {
-	bi := 0
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[bi] {
-			bi = i
-		}
-	}
-	return s.X[bi], s.Y[bi]
-}
-
 // InvertMonotone finds x in [X[0], X[n-1]] with y(x) == target, assuming y
 // is monotone (either direction) under linear interpolation. Returns an
 // error if target is outside the series' y range.

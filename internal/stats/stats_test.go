@@ -113,14 +113,6 @@ func TestSeriesImmutableCopy(t *testing.T) {
 	}
 }
 
-func TestArgMax(t *testing.T) {
-	s, _ := NewSeries([]float64{1, 2, 3, 4}, []float64{5, 9, 9, 2})
-	x, y := s.ArgMax()
-	if x != 2 || y != 9 {
-		t.Errorf("ArgMax=(%g,%g), want (2,9) first-on-tie", x, y)
-	}
-}
-
 func TestInvertMonotone(t *testing.T) {
 	inc, _ := NewSeries([]float64{0, 1, 2}, []float64{0, 10, 40})
 	x, err := inc.InvertMonotone(25)

@@ -45,6 +45,49 @@ func TestNewModelRejectsBadInput(t *testing.T) {
 	if _, err := NewModel(chip16(t), p); err == nil {
 		t.Error("accepted negative convection resistance")
 	}
+	cfg := floorplan.DefaultChipConfig(16)
+	cfg.Layers = 2
+	stacked, err := floorplan.Chip(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = DefaultParams()
+	p.RInterLayerSpecific = 0
+	var ce *check.Error
+	if _, err := NewModel(stacked, p); !errors.As(err, &ce) || ce.Field != "RInterLayerSpecific" {
+		t.Errorf("2-layer chip without an interface resistance: got %v, want a *check.Error on RInterLayerSpecific", err)
+	}
+	if _, err := NewModel(chip16(t), p); err != nil {
+		t.Errorf("planar chip refused a zero interface resistance: %v", err)
+	}
+	// Every float parameter refuses NaN and both infinities with a
+	// *check.Error naming it. NaN KSi used to build a model whose steady
+	// state was all NaN, and +Inf RConvection a model with no convection
+	// path.
+	fields := []struct {
+		name string
+		ptr  func(*Params) *float64
+	}{
+		{"KSi", func(p *Params) *float64 { return &p.KSi }},
+		{"DieThickness", func(p *Params) *float64 { return &p.DieThickness }},
+		{"RVerticalSpecific", func(p *Params) *float64 { return &p.RVerticalSpecific }},
+		{"RConvection", func(p *Params) *float64 { return &p.RConvection }},
+		{"AmbientC", func(p *Params) *float64 { return &p.AmbientC }},
+		{"VolHeatCapacity", func(p *Params) *float64 { return &p.VolHeatCapacity }},
+		{"SinkHeatCapacity", func(p *Params) *float64 { return &p.SinkHeatCapacity }},
+		{"RInterLayerSpecific", func(p *Params) *float64 { return &p.RInterLayerSpecific }},
+	}
+	fp := chip16(t)
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			*f.ptr(&p) = v
+			var ce *check.Error
+			if _, err := NewModel(fp, p); !errors.As(err, &ce) || ce.Field != f.name {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", f.name, v, err, f.name)
+			}
+		}
+	}
 }
 
 func TestSteadyStateZeroPowerIsAmbient(t *testing.T) {
@@ -178,7 +221,11 @@ func TestAvgWeightedFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := m.AvgWeighted(temps, nil)
-	coresOnly := m.AvgWeighted(temps, ExcludeL2)
+	// The paper's convention (§3.3): the L2 and the bus strip are left out
+	// of temperature statistics.
+	coresOnly := m.AvgWeighted(temps, func(b floorplan.Block) bool {
+		return b.Unit != floorplan.UnitL2 && b.Unit != floorplan.UnitBus
+	})
 	if coresOnly <= all {
 		t.Errorf("core-only average %g should exceed whole-die average %g (cold L2)", coresOnly, all)
 	}
@@ -287,20 +334,16 @@ func TestTransientApproachesSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := make([]float64, m.NumNodes())
-	for i := range t0 {
-		t0[i] = phys.AmbientTempC
-	}
 	// After a long settle the transient solution must be close to steady
 	// state for the die nodes (the sink settles much more slowly; a couple
 	// of °C tolerance absorbs that).
-	tr, err := m.Transient(t0, p, 200)
-	if err != nil {
-		t.Fatalf("Transient: %v", err)
+	st := m.NewTransientState()
+	if err := m.TransientStep(st, p, 200); err != nil {
+		t.Fatalf("TransientStep: %v", err)
 	}
 	for i := range ss {
-		if math.Abs(tr[i]-ss[i]) > 2.0 {
-			t.Fatalf("block %d: transient %g vs steady %g", i, tr[i], ss[i])
+		if math.Abs(st.Block[i]-ss[i]) > 2.0 {
+			t.Fatalf("block %d: transient %g vs steady %g", i, st.Block[i], ss[i])
 		}
 	}
 }
@@ -309,39 +352,37 @@ func TestTransientShortRunBarelyMoves(t *testing.T) {
 	m := model16(t)
 	p := make([]float64, m.NumNodes())
 	p[0] = 100
-	t0 := make([]float64, m.NumNodes())
-	for i := range t0 {
-		t0[i] = phys.AmbientTempC
-	}
-	tr, err := m.Transient(t0, p, 1e-7)
-	if err != nil {
+	st := m.NewTransientState()
+	if err := m.TransientStep(st, p, 1e-7); err != nil {
 		t.Fatal(err)
 	}
-	if tr[0]-phys.AmbientTempC > 5 {
-		t.Errorf("100 ns heated block by %g °C; thermal time constants should be ms-scale", tr[0]-phys.AmbientTempC)
+	if st.Block[0]-phys.AmbientTempC > 5 {
+		t.Errorf("100 ns heated block by %g °C; thermal time constants should be ms-scale", st.Block[0]-phys.AmbientTempC)
 	}
 }
 
 func TestTransientValidation(t *testing.T) {
 	m := model16(t)
 	good := make([]float64, m.NumNodes())
-	if _, err := m.Transient(good[:2], good, 1); err == nil {
-		t.Error("accepted short t0")
+	if err := m.TransientStep(&TransientState{Block: good[:2]}, good, 1); err == nil {
+		t.Error("accepted short state")
 	}
-	if _, err := m.Transient(good, good[:2], 1); err == nil {
+	if err := m.TransientStep(m.NewTransientState(), good[:2], 1); err == nil {
 		t.Error("accepted short power")
 	}
-	if _, err := m.Transient(good, good, -1); err == nil {
-		t.Error("accepted negative duration")
-	}
-	// An infinite duration used to spin the substep loop forever; NaN
-	// used to return at once with the state unchanged.
-	for _, d := range []float64{math.Inf(1), math.NaN()} {
+	// An infinite duration used to spin the substep loop forever, and a
+	// huge finite one ran for ~duration/dtStable substeps; NaN used to
+	// return at once with the state unchanged.
+	limit := maxSubsteps * m.dtStable
+	for _, d := range []float64{-1, math.Inf(-1), math.Inf(1), math.NaN(), 1e300, math.Nextafter(limit, math.Inf(1))} {
 		st := m.NewTransientState()
 		var ce *check.Error
 		if err := m.TransientStep(st, good, d); !errors.As(err, &ce) || ce.Field != "duration" {
 			t.Errorf("duration %g: got %v, want a *check.Error on duration", d, err)
 		}
+	}
+	if limit < 700 {
+		t.Errorf("16-core substep bound admits only %g s per call", limit)
 	}
 }
 
@@ -382,7 +423,7 @@ func TestSteadyStateSymmetry(t *testing.T) {
 
 func TestTransientStepCarriesSinkState(t *testing.T) {
 	// Chained TransientStep calls must heat the sink monotonically under
-	// constant power — the property the stateless Transient cannot give.
+	// constant power: the state carries the sink between calls.
 	m := model16(t)
 	p := make([]float64, m.NumNodes())
 	for _, i := range m.Floorplan().CoreBlocks(0) {

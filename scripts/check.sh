@@ -1,6 +1,8 @@
 #!/bin/sh
 # Tier-1+ verification gate (see ROADMAP.md): gofmt, vet, build, the full
-# test suite under the race detector, then short fuzz smokes over the
+# test suite under the race detector, vet and tests of the benchmark
+# harness (a nested module that the root ./... skips, so an API change
+# could break it silently), then short fuzz smokes over the
 # input-parsing/lookup surfaces, the cache coherence invariants and the
 # fused engine's equivalence to its reference loop (the
 # committed corpora under testdata/fuzz run as ordinary tests; this
@@ -26,6 +28,9 @@ go build ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== benchmark harness: go vet ./... && go test ./... (nested module)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== fuzz smoke: dvfs quantization (10s)"
 go test ./internal/dvfs -run='^$' -fuzz=FuzzQuantize -fuzztime=10s
