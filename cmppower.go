@@ -245,7 +245,7 @@ type RetryConfig = experiment.RetryConfig
 func DefaultRetryConfig() RetryConfig { return experiment.DefaultRetryConfig() }
 
 // SweepOutcome is one application's result (or typed failure) in a
-// fault-isolated sweep (Experiment.SweepScenarioI/II).
+// fault-isolated sweep (Experiment.SweepScenarioIWith/IIWith).
 type SweepOutcome = experiment.SweepOutcome
 
 // SweepConfig configures a parallel sweep: retry policy, worker count

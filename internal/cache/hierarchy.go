@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cmppower/internal/bus"
+	"cmppower/internal/check"
 	"cmppower/internal/mem"
 )
 
@@ -67,11 +68,15 @@ func (c Config) Validate() error {
 	if c.L2.LineBytes < c.L1.LineBytes {
 		return fmt.Errorf("cache: L2 line %d smaller than L1 line %d", c.L2.LineBytes, c.L1.LineBytes)
 	}
-	if c.L1HitCycles <= 0 || c.L2RTCycles <= 0 || c.BusCyclesPerTx <= 0 {
-		return fmt.Errorf("cache: non-positive latency in %+v", c)
-	}
-	if c.FreqHz <= 0 {
-		return fmt.Errorf("cache: non-positive frequency %g", c.FreqHz)
+	switch {
+	case !(c.L1HitCycles > 0 && check.Finite(c.L1HitCycles)):
+		return check.Fail("L1HitCycles", c.L1HitCycles, "cache: L1 hit cycles %g must be positive and finite", c.L1HitCycles)
+	case !(c.L2RTCycles > 0 && check.Finite(c.L2RTCycles)):
+		return check.Fail("L2RTCycles", c.L2RTCycles, "cache: L2 round trip %g must be positive and finite", c.L2RTCycles)
+	case !(c.BusCyclesPerTx > 0 && check.Finite(c.BusCyclesPerTx)):
+		return check.Fail("BusCyclesPerTx", c.BusCyclesPerTx, "cache: bus cycles per transaction %g must be positive and finite", c.BusCyclesPerTx)
+	case !(c.FreqHz > 0 && check.Finite(c.FreqHz)):
+		return check.Fail("FreqHz", c.FreqHz, "cache: frequency %g must be positive and finite", c.FreqHz)
 	}
 	return nil
 }
@@ -491,15 +496,6 @@ func downgrade(part []uint64, probe uint64) bool {
 		}
 	}
 	return true
-}
-
-// FetchMiss charges an instruction-fetch miss for core at cycle now; code
-// is shared and effectively always L2-resident, so the cost is one bus
-// transaction plus the L2 round trip.
-func (h *Hierarchy) FetchMiss(core int, now float64) float64 {
-	start := h.bus.Acquire(now)
-	h.st.L2Access++
-	return start + h.cfg.L2RTCycles
 }
 
 // installL2 inserts a line into the L2 in Shared and enforces inclusion

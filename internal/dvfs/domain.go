@@ -2,6 +2,8 @@ package dvfs
 
 import (
 	"fmt"
+
+	"cmppower/internal/check"
 )
 
 // Domain is one voltage/frequency island of a multi-domain chip: a named
@@ -60,8 +62,8 @@ func NewDomainSet(totalCores int, domains []Domain) (*DomainSet, error) {
 			return nil, fmt.Errorf("dvfs: duplicate domain %q", d.Name)
 		}
 		seen[d.Name] = true
-		if r := d.Ratio(); r <= 0 || r > 1 {
-			return nil, fmt.Errorf("dvfs: domain %q speed ratio %g outside (0,1]", d.Name, r)
+		if r := d.Ratio(); !(r > 0 && r <= 1) {
+			return nil, check.Fail("SpeedRatio", r, "dvfs: domain %q speed ratio %g outside (0,1]", d.Name, r)
 		}
 		if len(d.Cores) == 0 {
 			return nil, fmt.Errorf("dvfs: domain %q has no cores", d.Name)

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"cmppower/internal/check"
 	"cmppower/internal/phys"
 )
 
@@ -43,8 +44,14 @@ func NewTable(tech phys.Technology, fmin, fmax, step float64) (*Table, error) {
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
-	if fmin <= 0 || step <= 0 || fmax < fmin {
-		return nil, fmt.Errorf("dvfs: invalid ladder bounds fmin=%g fmax=%g step=%g", fmin, fmax, step)
+	const badBounds = "dvfs: invalid ladder bounds fmin=%g fmax=%g step=%g"
+	switch {
+	case !(fmin > 0 && check.Finite(fmin)):
+		return nil, check.Fail("fmin", fmin, badBounds, fmin, fmax, step)
+	case !check.In(fmax, fmin, math.MaxFloat64):
+		return nil, check.Fail("fmax", fmax, badBounds, fmin, fmax, step)
+	case !(step > 0 && check.Finite(step)):
+		return nil, check.Fail("step", step, badBounds, fmin, fmax, step)
 	}
 	if fmax > tech.FNominal {
 		fmax = tech.FNominal

@@ -1,10 +1,12 @@
 package dvfs
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"cmppower/internal/check"
 	"cmppower/internal/phys"
 )
 
@@ -80,10 +82,46 @@ func TestNewTableRejectsBadArgs(t *testing.T) {
 			t.Errorf("NewTable(%v) accepted invalid args", c)
 		}
 	}
+	// NaN and ±Inf in each bound fail with a typed error naming it; a
+	// range test in the v <= 0 form passes NaN, and a NaN bound leaves
+	// the ladder empty.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, args := range map[string][3]float64{
+			"fmin": {v, 1e9, 1e8},
+			"fmax": {1e8, v, 1e8},
+			"step": {1e8, 1e9, v},
+		} {
+			var ce *check.Error
+			if _, err := NewTable(tech, args[0], args[1], args[2]); !errors.As(err, &ce) || ce.Field != field {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", field, v, err, field)
+			}
+		}
+	}
 	bad := tech
 	bad.Vdd = 0
 	if _, err := NewTable(bad, 2e8, 3.2e9, 2e8); err == nil {
 		t.Error("NewTable accepted invalid technology")
+	}
+}
+
+func TestNewDomainSetRejectsBadRatio(t *testing.T) {
+	set := func(r float64) error {
+		_, err := NewDomainSet(2, []Domain{
+			{Name: "big", Cores: []int{0}},
+			{Name: "little", Cores: []int{1}, SpeedRatio: r},
+		})
+		return err
+	}
+	for _, r := range []float64{0, 0.5, 1} {
+		if err := set(r); err != nil {
+			t.Errorf("ratio %g rejected: %v", r, err)
+		}
+	}
+	for _, r := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var ce *check.Error
+		if err := set(r); !errors.As(err, &ce) || ce.Field != "SpeedRatio" {
+			t.Errorf("ratio %g: got %v, want a *check.Error on SpeedRatio", r, err)
+		}
 	}
 }
 

@@ -58,17 +58,6 @@ func CacheAccessEnergy(s CacheSpec, tech phys.Technology) (float64, error) {
 	return base * assocFactor * v * v, nil
 }
 
-// CacheLatencySeconds returns a first-order access-time estimate for the
-// array. The modeled CMP pins latencies to the paper's Table 1 values (2
-// cycles L1, 12 cycles L2 round trip); this estimate exists to sanity-check
-// those choices and for configurations beyond Table 1.
-func CacheLatencySeconds(s CacheSpec) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	return 0.2e-9 + 0.05e-9*math.Sqrt(float64(s.SizeBytes)/1024.0), nil
-}
-
 // Budget holds the per-access dynamic energy of every chip unit at the
 // technology's nominal supply voltage.
 type Budget struct {
@@ -143,15 +132,3 @@ func (b *Budget) PerAccessAt(u floorplan.Unit, v float64) float64 {
 
 // Tech returns the budget's technology.
 func (b *Budget) Tech() phys.Technology { return b.tech }
-
-// MaxCorePowerEstimate returns the dynamic power of one core with every
-// unit switching once per cycle at frequency f and supply v — the
-// "quasi-maximum power microbenchmark" of the paper's renormalization step
-// (§3.3), before renormalization.
-func (b *Budget) MaxCorePowerEstimate(v, f float64) float64 {
-	var e float64
-	for _, u := range floorplan.CoreUnits() {
-		e += b.PerAccessAt(u, v)
-	}
-	return e * f
-}

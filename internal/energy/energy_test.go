@@ -57,32 +57,6 @@ func TestCacheEnergyRejectsBadSpec(t *testing.T) {
 	if _, err := CacheAccessEnergy(CacheSpec{}, phys.Tech65()); err == nil {
 		t.Error("accepted zero spec")
 	}
-	if _, err := CacheLatencySeconds(CacheSpec{}); err == nil {
-		t.Error("latency accepted zero spec")
-	}
-}
-
-func TestCacheLatencyOrdering(t *testing.T) {
-	l1, err := CacheLatencySeconds(CacheSpec{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := CacheLatencySeconds(CacheSpec{SizeBytes: 4 << 20, LineBytes: 128, Assoc: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2 <= l1 {
-		t.Errorf("L2 latency %g <= L1 %g", l2, l1)
-	}
-	// Sanity versus Table 1: L1 ~2 cycles at 3.2 GHz (0.625 ns), L2 round
-	// trip ~12 cycles (3.75 ns). The estimates should be the same order of
-	// magnitude.
-	if l1 > 2e-9 || l1 < 0.1e-9 {
-		t.Errorf("L1 latency estimate %g s implausible", l1)
-	}
-	if l2 > 10e-9 || l2 < 0.5e-9 {
-		t.Errorf("L2 latency estimate %g s implausible", l2)
-	}
 }
 
 func TestEV6BudgetCoversAllUnits(t *testing.T) {
@@ -134,26 +108,6 @@ func TestPerAccessAtQuadraticScaling(t *testing.T) {
 	}
 	if got := b.PerAccessAt(floorplan.UnitIALU, tech.Vdd); got != b.PerAccess(floorplan.UnitIALU) {
 		t.Errorf("nominal PerAccessAt %g != PerAccess %g", got, b.PerAccess(floorplan.UnitIALU))
-	}
-}
-
-func TestMaxCorePowerEstimatePlausible(t *testing.T) {
-	b, err := EV6Budget(phys.Tech65())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tech := b.Tech()
-	p := b.MaxCorePowerEstimate(tech.Vdd, tech.FNominal)
-	// Order-of-magnitude check only: an aggressive 2005-class core at
-	// 3.2 GHz lands in the 0.1 W – 100 W dynamic range before
-	// renormalization.
-	if p < 0.1 || p > 100 {
-		t.Errorf("max core power estimate %g W implausible", p)
-	}
-	// Power scales down with both V and f.
-	pScaled := b.MaxCorePowerEstimate(tech.Vmin(), tech.FNominal/4)
-	if pScaled >= p {
-		t.Errorf("scaled power %g >= nominal %g", pScaled, p)
 	}
 }
 

@@ -46,10 +46,6 @@ type Rig struct {
 	ScaleMemoryWithChip bool
 	// Prefetch enables the hierarchy's next-line prefetcher (ablation A6).
 	Prefetch bool
-	// QuantizeLadder restricts operating points to the discrete 200 MHz
-	// ladder steps instead of interpolating between them (the paper
-	// interpolates, §4.2); enables measuring the quantization loss.
-	QuantizeLadder bool
 	// Faults, when non-nil, injects deterministic faults into every run:
 	// stuck/noisy thermal sensors and DVFS failures feed the DTM
 	// controller, transient ECC errors feed the cache hierarchy, and
@@ -133,9 +129,10 @@ func NewRig(scale float64) (*Rig, error) { return NewRigFromScenario(nil, scale)
 func (r *Rig) BudgetW() float64 { return r.Cal.MaxOperationalW }
 
 // pointFor picks an operating point at or below the target frequency,
-// interpolated (the paper's method) or quantized to the ladder.
+// interpolated (the paper's method, §4.2) or, when the scenario sets
+// dvfs.quantize, on a ladder step, which measures the quantization loss.
 func (r *Rig) pointFor(freq float64) dvfs.OperatingPoint {
-	if r.QuantizeLadder {
+	if r.Scenario.DVFS.Quantize {
 		return r.Table.Quantize(freq)
 	}
 	return r.Table.PointFor(freq)

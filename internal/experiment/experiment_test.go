@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmppower/internal/phys"
+	"cmppower/internal/scenario"
 	"cmppower/internal/splash"
 )
 
@@ -251,11 +252,12 @@ func TestQuantizedLadderCostsPerformance(t *testing.T) {
 	// Scenario II on the discrete ladder can never beat the interpolated
 	// ladder: quantization only ever steps down.
 	interp := testRig(t)
-	quant, err := NewRig(0.15)
+	sc := scenario.Baseline()
+	sc.DVFS.Quantize = true
+	quant, err := NewRigFromScenario(sc, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant.QuantizeLadder = true
 	a := app(t, "FMM")
 	ri, err := interp.ScenarioII(a, []int{8})
 	if err != nil {

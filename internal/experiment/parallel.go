@@ -135,10 +135,16 @@ func (r *Rig) sweepApps(ctx context.Context, kind string, apps []splash.App, cfg
 	return out, err
 }
 
-// SweepScenarioIWith is SweepScenarioI under a SweepConfig: the apps fan
-// out across a bounded worker pool and the memo cache dedupes repeated
-// baseline/profiling runs. Outcomes are returned in input order and are
-// bit-identical for every worker count.
+// SweepScenarioIWith runs ScenarioI for every app, isolating failures: a
+// run that panics or fails hard is reported in its outcome's Err (as a
+// *RunError where provenance is known) while the remaining apps still
+// run; injected-transient failures are retried per cfg.Retry. Only
+// context cancellation stops the sweep early, returning the outcomes
+// gathered so far alongside ctx.Err(). The apps fan out across a bounded
+// worker pool, each drawing its own (scenario, app)-salted fault stream,
+// and the memo cache dedupes repeated baseline/profiling runs. Outcomes
+// are returned in input order and are bit-identical for every worker
+// count.
 func (r *Rig) SweepScenarioIWith(ctx context.Context, apps []splash.App, coreCounts []int, cfg SweepConfig) ([]SweepOutcome, error) {
 	return r.sweepApps(ctx, "scenarioI", apps, cfg, func(w *Rig, app splash.App, rc RetryConfig) SweepOutcome {
 		o := SweepOutcome{App: app.Name}
@@ -151,8 +157,8 @@ func (r *Rig) SweepScenarioIWith(ctx context.Context, apps []splash.App, coreCou
 	})
 }
 
-// SweepScenarioIIWith is SweepScenarioII under a SweepConfig; see
-// SweepScenarioIWith.
+// SweepScenarioIIWith is SweepScenarioIWith for the Scenario II
+// (power-budget) experiment.
 func (r *Rig) SweepScenarioIIWith(ctx context.Context, apps []splash.App, coreCounts []int, cfg SweepConfig) ([]SweepOutcome, error) {
 	return r.sweepApps(ctx, "scenarioII", apps, cfg, func(w *Rig, app splash.App, rc RetryConfig) SweepOutcome {
 		o := SweepOutcome{App: app.Name}

@@ -112,23 +112,6 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLegacySerialSweepMatchesParallelEngine pins the compatibility
-// contract: the legacy SweepScenarioI entry point is the Workers=1 form
-// of the pooled engine, not a separate code path.
-func TestLegacySerialSweepMatchesParallelEngine(t *testing.T) {
-	apps := testApps(t)[:2]
-	legacy, err := faultyTestRig(t).SweepScenarioI(context.Background(), apps, []int{1, 2}, DefaultRetryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := faultyTestRig(t).SweepScenarioIWith(context.Background(), apps, []int{1, 2},
-		SweepConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomesEqual(t, legacy, pooled)
-}
-
 // TestMemoDedupesRepeatedRuns verifies the cache actually absorbs the
 // repeated baseline/profiling runs across Scenario I and II on one rig,
 // and that served hits don't change results.

@@ -67,7 +67,6 @@ func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
 		TotalCores: sc.Chip.TotalCores, Scale: scale, Seed: 1,
 		ScaleMemoryWithChip: sc.Memory.ScaleWithChip,
 		Prefetch:            sc.Memory.Prefetch,
-		QuantizeLadder:      sc.DVFS.Quantize,
 		Scenario:            sc,
 		scenarioDigest:      digest,
 	}

@@ -9,7 +9,6 @@ import (
 
 	"cmppower/internal/dvfs"
 	"cmppower/internal/faults"
-	"cmppower/internal/splash"
 )
 
 // RunError is the typed failure of one simulated run. It carries the run's
@@ -122,22 +121,4 @@ type SweepOutcome struct {
 	I        *ScenarioIResult
 	II       *ScenarioIIResult
 	Err      error
-}
-
-// SweepScenarioI runs ScenarioI for every app, isolating failures: a run
-// that panics or fails hard is reported in its outcome's Err (as a
-// *RunError where provenance is known) while the remaining apps still
-// run; injected-transient failures are retried per RetryConfig. Only
-// context cancellation stops the sweep early, returning the outcomes
-// gathered so far alongside ctx.Err(). It is the single-worker form of
-// SweepScenarioIWith, so each app still draws its own (scenario, app)-
-// salted fault stream and outcomes match any other worker count.
-func (r *Rig) SweepScenarioI(ctx context.Context, apps []splash.App, coreCounts []int, rc RetryConfig) ([]SweepOutcome, error) {
-	return r.SweepScenarioIWith(ctx, apps, coreCounts, SweepConfig{Retry: rc, Workers: 1})
-}
-
-// SweepScenarioII is SweepScenarioI for the Scenario II (power-budget)
-// experiment.
-func (r *Rig) SweepScenarioII(ctx context.Context, apps []splash.App, coreCounts []int, rc RetryConfig) ([]SweepOutcome, error) {
-	return r.SweepScenarioIIWith(ctx, apps, coreCounts, SweepConfig{Retry: rc, Workers: 1})
 }

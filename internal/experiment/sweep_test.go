@@ -36,7 +36,7 @@ func TestSweepCompletesPastHardFailures(t *testing.T) {
 	// report a typed error for each, never abort the loop.
 	rig.Faults = injector(t, faults.Config{Seed: 3, RunHardProb: 1})
 	apps := sweepApps(t)
-	out, err := rig.SweepScenarioI(context.Background(), apps, []int{1, 2}, fastRetry(2))
+	out, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2}, SweepConfig{Retry: fastRetry(2), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSweepMixedFailuresKeepHealthyApps(t *testing.T) {
 	// this seed; the schedule is reproducible by construction.)
 	rig.Faults = injector(t, faults.Config{Seed: 5, RunHardProb: 0.25})
 	apps := sweepApps(t)
-	out, err := rig.SweepScenarioII(context.Background(), apps, []int{1, 2}, fastRetry(2))
+	out, err := rig.SweepScenarioIIWith(context.Background(), apps, []int{1, 2}, SweepConfig{Retry: fastRetry(2), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSweepRetriesTransientFailures(t *testing.T) {
 	rig := testRig(t)
 	rig.Faults = injector(t, faults.Config{Seed: 9, RunTransientProb: 0.3})
 	apps := sweepApps(t)
-	out, err := rig.SweepScenarioI(context.Background(), apps, []int{1, 2}, fastRetry(10))
+	out, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2}, SweepConfig{Retry: fastRetry(10), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSweepStopsOnCancelledContext(t *testing.T) {
 	rig := testRig(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := rig.SweepScenarioI(ctx, sweepApps(t), []int{1, 2}, fastRetry(1))
+	out, err := rig.SweepScenarioIWith(ctx, sweepApps(t), []int{1, 2}, SweepConfig{Retry: fastRetry(1), Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

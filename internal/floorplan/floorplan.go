@@ -105,15 +105,6 @@ type Floorplan struct {
 // Area returns the total die area in m².
 func (f *Floorplan) Area() float64 { return f.DieW * f.DieH }
 
-// BlockArea returns the summed area of all blocks.
-func (f *Floorplan) BlockArea() float64 {
-	var a float64
-	for _, b := range f.Blocks {
-		a += b.Area()
-	}
-	return a
-}
-
 // Index returns the position of the named block, or -1.
 func (f *Floorplan) Index(name string) int {
 	for i, b := range f.Blocks {
@@ -381,11 +372,4 @@ func (f *Floorplan) Layers() int {
 		}
 	}
 	return max + 1
-}
-
-// CoreArea returns the area of one core tile in the given chip config, m².
-func CoreArea(cfg ChipConfig) float64 {
-	cols := int(math.Ceil(math.Sqrt(float64(cfg.NCores))))
-	rows := (cfg.NCores + cols - 1) / cols
-	return (cfg.DieW / float64(cols)) * (0.60 * cfg.DieH / float64(rows))
 }

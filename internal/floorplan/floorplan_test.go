@@ -74,8 +74,12 @@ func TestChipDefault16(t *testing.T) {
 	if math.Abs(fp.Area()-wantArea)/wantArea > 1e-9 {
 		t.Errorf("die area = %g, want %g (244.5 mm²)", fp.Area(), wantArea)
 	}
-	if math.Abs(fp.BlockArea()-wantArea)/wantArea > 1e-9 {
-		t.Errorf("blocks do not tile the die: %g vs %g", fp.BlockArea(), wantArea)
+	var blockArea float64
+	for _, b := range fp.Blocks {
+		blockArea += b.Area()
+	}
+	if math.Abs(blockArea-wantArea)/wantArea > 1e-9 {
+		t.Errorf("blocks do not tile the die: %g vs %g", blockArea, wantArea)
 	}
 }
 
@@ -272,17 +276,5 @@ func TestBuildAdjacencyMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCoreAreaPositive(t *testing.T) {
-	for _, n := range []int{1, 2, 16, 32} {
-		if a := CoreArea(DefaultChipConfig(n)); a <= 0 {
-			t.Errorf("CoreArea(%d)=%g", n, a)
-		}
-	}
-	// More cores on the same die means smaller tiles.
-	if CoreArea(DefaultChipConfig(32)) >= CoreArea(DefaultChipConfig(4)) {
-		t.Error("core area should shrink with core count")
 	}
 }

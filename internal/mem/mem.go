@@ -12,19 +12,7 @@
 //     efficiency.
 package mem
 
-import "fmt"
-
-// ParamError reports an invalid DRAM parameterization: which parameter
-// was out of range and the value given. It is the typed form of every
-// error New returns.
-type ParamError struct {
-	Param string  // "latency" or "occupancy"
-	Value float64 // the offending value, seconds
-	Msg   string
-}
-
-// Error implements error.
-func (e *ParamError) Error() string { return e.Msg }
+import "cmppower/internal/check"
 
 // QueueWaitBoundsNs are the fixed upper bucket edges, in nanoseconds, of
 // the per-access channel-queue-wait histogram. Geometric around the 1.2 ns
@@ -54,15 +42,14 @@ type DRAM struct {
 
 // New returns a DRAM channel with the given round-trip latency and
 // per-access channel occupancy, both in seconds. Failures are
-// *ParamError values naming the offending parameter.
+// *check.Error values naming the offending parameter ("latency" or
+// "occupancy").
 func New(latencySec, occupancySec float64) (*DRAM, error) {
-	if latencySec <= 0 {
-		return nil, &ParamError{Param: "latency", Value: latencySec,
-			Msg: fmt.Sprintf("mem: non-positive latency %g", latencySec)}
+	if !(latencySec > 0 && check.Finite(latencySec)) {
+		return nil, check.Fail("latency", latencySec, "mem: latency %g must be positive and finite", latencySec)
 	}
-	if occupancySec < 0 || occupancySec > latencySec {
-		return nil, &ParamError{Param: "occupancy", Value: occupancySec,
-			Msg: fmt.Sprintf("mem: occupancy %g outside [0, latency]", occupancySec)}
+	if !check.In(occupancySec, 0, latencySec) {
+		return nil, check.Fail("occupancy", occupancySec, "mem: occupancy %g outside [0, latency]", occupancySec)
 	}
 	return &DRAM{latency: latencySec, occupancy: occupancySec}, nil
 }

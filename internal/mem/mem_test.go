@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"cmppower/internal/check"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -80,14 +82,24 @@ func TestBandwidthPressureGrowsWithLoad(t *testing.T) {
 
 func TestNewReturnsTypedErrors(t *testing.T) {
 	_, err := New(-1, 0)
-	var pe *ParamError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *ParamError, got %T: %v", err, err)
+	var ce *check.Error
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *check.Error, got %T: %v", err, err)
 	}
-	if pe.Param != "latency" || pe.Value != -1 {
-		t.Errorf("provenance %+v", pe)
+	if ce.Field != "latency" || ce.Value != -1 {
+		t.Errorf("provenance %+v", ce)
 	}
-	if _, err = New(75e-9, 100e-9); !errors.As(err, &pe) || pe.Param != "occupancy" {
+	if _, err = New(75e-9, 100e-9); !errors.As(err, &ce) || ce.Field != "occupancy" {
 		t.Errorf("occupancy error %v", err)
+	}
+	// NaN and ±Inf fail with the parameter named; a range test in the
+	// v < lo || v > hi form passes NaN.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(v, 0); !errors.As(err, &ce) || ce.Field != "latency" {
+			t.Errorf("latency %g: got %v, want a *check.Error on latency", v, err)
+		}
+		if _, err := New(75e-9, v); !errors.As(err, &ce) || ce.Field != "occupancy" {
+			t.Errorf("occupancy %g: got %v, want a *check.Error on occupancy", v, err)
+		}
 	}
 }

@@ -295,23 +295,11 @@ func (t Technology) DynPowerRel(v, f float64) float64 {
 	return rv * rv * (f / t.FNominal)
 }
 
-// TotalPowerRelNominal returns total (dynamic+static) single-core power at
-// the nominal operating point with the die at tempC, relative to P_D1.
-func (t Technology) TotalPowerRelNominal(tempC float64) float64 {
-	return 1 + t.StaticPowerRel(t.Vdd, tempC)
-}
-
 // String implements fmt.Stringer.
 func (t Technology) String() string {
 	return fmt.Sprintf("%s (Vdd=%.2fV Vth=%.2fV f=%.2fGHz α=%.1f static=%.0f%%)",
 		t.Name, t.Vdd, t.Vth, t.FNominal/1e9, t.Alpha, t.StaticShare*100)
 }
-
-// CtoK converts Celsius to Kelvin.
-func CtoK(c float64) float64 { return c + 273.15 }
-
-// KtoC converts Kelvin to Celsius.
-func KtoC(k float64) float64 { return k - 273.15 }
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

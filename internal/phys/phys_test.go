@@ -211,24 +211,6 @@ func TestDynPowerRelCubicFlavor(t *testing.T) {
 	}
 }
 
-func TestTotalPowerRelNominal(t *testing.T) {
-	tech := Tech130()
-	got := tech.TotalPowerRelNominal(MaxDieTempC)
-	want := 1 / (1 - tech.StaticShare)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("TotalPowerRelNominal=%g, want %g", got, want)
-	}
-}
-
-func TestTemperatureConversions(t *testing.T) {
-	if got := CtoK(0); got != 273.15 {
-		t.Errorf("CtoK(0)=%g", got)
-	}
-	if got := KtoC(CtoK(36.6)); math.Abs(got-36.6) > 1e-12 {
-		t.Errorf("KtoC(CtoK(36.6))=%g", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct{ x, lo, hi, want float64 }{
 		{5, 0, 10, 5},

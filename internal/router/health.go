@@ -84,10 +84,10 @@ func (rt *Router) checkHealthOnce() {
 	}
 }
 
-// probeReady is one /readyz round trip: ok means a 200 within the
-// health timeout.
+// probeReady is one /readyz round trip: ok means a 200 within one
+// health interval.
 func (rt *Router) probeReady(p Proc) bool {
-	ctx, cancel := context.WithTimeout(rt.loopCtx, rt.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(rt.loopCtx, rt.cfg.HealthInterval)
 	defer cancel()
 	resp, err := rt.send(ctx, p, http.MethodGet, "/readyz", nil, nil)
 	if err != nil {

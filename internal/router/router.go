@@ -63,39 +63,20 @@ type Config struct {
 	// Spawn boots one shard for a slot; required in spawn mode.
 	Spawn SpawnFunc
 
-	// HedgeQuantile is the per-shard latency quantile that arms the hedge
-	// timer (default 0.95): if the primary has not answered within its
-	// own q-quantile, the request is also fired at the next ring shard.
-	HedgeQuantile float64
 	// HedgeMin/HedgeMax clamp the hedge delay (defaults 20ms / 2s).
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// LatencyPrior seeds a cold shard's quantile estimate (default 50ms).
-	LatencyPrior time.Duration
 	// MaxAttempts bounds total attempts per request, primary included
 	// (default 3, capped at the fleet size at pick time).
 	MaxAttempts int
 
-	// RetryBudgetRatio is the fraction of normal traffic the fleet may
-	// spend on extra attempts (default 0.1); RetryBudgetCap bounds the
-	// bucket (default 16 tokens).
-	RetryBudgetRatio float64
-	RetryBudgetCap   float64
-
-	// HealthInterval is the /readyz probe period (default 250ms);
-	// HealthTimeout bounds one probe (default = HealthInterval).
+	// HealthInterval is the /readyz probe period (default 250ms); it
+	// also bounds one probe or metrics scrape.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// EjectAfter consecutive probe failures eject a shard (default 3);
 	// ReadmitAfter consecutive successes readmit it (default 2).
 	EjectAfter   int
 	ReadmitAfter int
-
-	// BreakerFailures consecutive request failures trip a shard's
-	// breaker (default 5); BreakerCooldown is the open → half-open delay
-	// (default 2s).
-	BreakerFailures int
-	BreakerCooldown time.Duration
 
 	// AutoScale enables the scaling control loop (spawn mode only).
 	AutoScale bool
@@ -111,62 +92,60 @@ type Config struct {
 	// ScaleDownIdleTicks is how many consecutive idle control ticks
 	// (zero queue, zero rejections) precede a scale-down (default 3).
 	ScaleDownIdleTicks int
-	// DrainTimeout bounds a scale-down drain (default 30s).
-	DrainTimeout time.Duration
 
 	// Chaos injects fleet-level faults (shard kills, stalls, synthetic
 	// backend errors); nil for none. Kills need spawn mode (respawn).
 	Chaos *faults.Chaos
 
 	// RequestTimeout bounds one client request across all attempts
-	// (default 120s). MaxBodyBytes bounds request bodies (default 1MiB).
+	// (default 120s).
 	RequestTimeout time.Duration
-	MaxBodyBytes   int64
 
 	// Registry collects router metrics; nil allocates a fresh one.
 	Registry *obs.Registry
 }
 
+// The router's fixed fleet policy (DESIGN.md §11). Every fleet runs with
+// these values; the request body bound is the server's MaxBodyBytes, so
+// both tiers refuse the same bodies.
+const (
+	// hedgeQuantile is the per-shard latency quantile that arms the hedge
+	// timer: if the primary has not answered within its own q-quantile,
+	// the request is also fired at the next ring shard.
+	hedgeQuantile = 0.95
+	// latencyPrior seeds a cold shard's quantile estimate.
+	latencyPrior = 50 * time.Millisecond
+	// retryBudgetRatio is the fraction of normal traffic the fleet may
+	// spend on extra attempts; retryBudgetCap bounds the bucket in tokens.
+	retryBudgetRatio = 0.1
+	retryBudgetCap   = 16
+	// breakerFailures consecutive request failures trip a shard's
+	// breaker; breakerCooldown is the open → half-open delay.
+	breakerFailures = 5
+	breakerCooldown = 2 * time.Second
+	// drainTimeout bounds a scale-down drain.
+	drainTimeout = 30 * time.Second
+)
+
 // withDefaults resolves the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 20 * time.Millisecond
 	}
 	if c.HedgeMax <= 0 {
 		c.HedgeMax = 2 * time.Second
 	}
-	if c.LatencyPrior <= 0 {
-		c.LatencyPrior = 50 * time.Millisecond
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.RetryBudgetRatio <= 0 {
-		c.RetryBudgetRatio = 0.1
-	}
-	if c.RetryBudgetCap <= 0 {
-		c.RetryBudgetCap = 16
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = c.HealthInterval
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 2
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.ScaleInterval <= 0 {
 		c.ScaleInterval = 2 * time.Second
@@ -183,14 +162,8 @@ func (c Config) withDefaults() Config {
 	if c.ScaleDownIdleTicks <= 0 {
 		c.ScaleDownIdleTicks = 3
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 120 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -292,7 +265,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		client:     client,
-		budget:     newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetCap),
+		budget:     newRetryBudget(retryBudgetRatio, retryBudgetCap),
 		attempts:   newWorkers(ctx.Done()),
 		loopCtx:    ctx,
 		loopCancel: cancel,
@@ -332,8 +305,8 @@ func (rt *Router) newShard(slot int, proc Proc) *shard {
 		slot:    slot,
 		proc:    proc,
 		healthy: true, // optimistic: serve immediately, eject on evidence
-		br:      breaker{threshold: rt.cfg.BreakerFailures},
-		lat:     newLatTracker(256, rt.cfg.LatencyPrior),
+		br:      breaker{threshold: breakerFailures},
+		lat:     newLatTracker(256, latencyPrior),
 		routes:  rt.reg.VolatileCounter(obs.WithShard("router_routes_total", slot)),
 	}
 }
@@ -463,7 +436,7 @@ func (rt *Router) pick(keyHash uint64) []target {
 	}
 	var ranked []scored
 	for _, s := range rt.slots {
-		if s == nil || !s.routable(now, rt.cfg.BreakerCooldown) {
+		if s == nil || !s.routable(now, breakerCooldown) {
 			continue
 		}
 		ranked = append(ranked, scored{target{s, s.proc}, identity.Mix(keyHash, uint64(s.slot))})
@@ -542,7 +515,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	}()
 	rt.budget.deposit()
 
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
@@ -673,7 +646,7 @@ func (rt *Router) dispatch(ctx context.Context, path string, body []byte, ranked
 
 	// The hedge timer arms on the primary's own recent tail: if it has
 	// not answered within its q-quantile, someone else gets a copy.
-	hedgeDelay := ranked[0].shard.lat.quantile(rt.cfg.HedgeQuantile)
+	hedgeDelay := ranked[0].shard.lat.quantile(hedgeQuantile)
 	if hedgeDelay < rt.cfg.HedgeMin {
 		hedgeDelay = rt.cfg.HedgeMin
 	}
@@ -911,7 +884,7 @@ func (rt *Router) publishFleetGauges() {
 			continue
 		}
 		live++
-		if s.routable(now, rt.cfg.BreakerCooldown) {
+		if s.routable(now, breakerCooldown) {
 			routable++
 		}
 	}

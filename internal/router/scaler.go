@@ -147,7 +147,7 @@ func (rt *Router) scaleDown() {
 	proc := victim.proc
 	rt.fleetMu.Unlock()
 
-	ctx, cancel := context.WithTimeout(rt.loopCtx, rt.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(rt.loopCtx, drainTimeout)
 	defer cancel()
 	if err := victim.waitDrained(ctx); err != nil {
 		// Never drop an accepted request: leave the shard draining and let
@@ -173,7 +173,7 @@ type shardMetrics struct {
 
 // scrapeShard fetches and parses one shard's metrics exposition.
 func (rt *Router) scrapeShard(p Proc) (shardMetrics, bool) {
-	ctx, cancel := context.WithTimeout(rt.loopCtx, rt.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(rt.loopCtx, rt.cfg.HealthInterval)
 	defer cancel()
 	resp, err := rt.send(ctx, p, http.MethodGet, "/metrics", nil, nil)
 	if err != nil {
@@ -236,7 +236,7 @@ func (rt *Router) chaosLoop() {
 		rt.fleetMu.Lock()
 		var candidates []*shard
 		for _, s := range rt.slots {
-			if s != nil && s.routable(now, rt.cfg.BreakerCooldown) {
+			if s != nil && s.routable(now, breakerCooldown) {
 				candidates = append(candidates, s)
 			}
 		}

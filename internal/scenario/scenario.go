@@ -28,10 +28,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
 
+	"cmppower/internal/check"
 	"cmppower/internal/phys"
 )
 
@@ -199,8 +201,10 @@ func (s *Scenario) Validate() error {
 	switch {
 	case c.TotalCores < 1 || c.TotalCores > 256:
 		return fmt.Errorf("scenario %s: total_cores %d outside [1,256]", s.Name, c.TotalCores)
-	case c.DieWMm <= 0 || c.DieWMm > 100 || c.DieHMm <= 0 || c.DieHMm > 100:
-		return fmt.Errorf("scenario %s: die %g×%g mm outside (0,100]", s.Name, c.DieWMm, c.DieHMm)
+	case !(c.DieWMm > 0 && c.DieWMm <= 100):
+		return check.Fail("die_w_mm", c.DieWMm, "scenario %s: die %g×%g mm outside (0,100]", s.Name, c.DieWMm, c.DieHMm)
+	case !(c.DieHMm > 0 && c.DieHMm <= 100):
+		return check.Fail("die_h_mm", c.DieHMm, "scenario %s: die %g×%g mm outside (0,100]", s.Name, c.DieWMm, c.DieHMm)
 	case c.L2Banks < 1 || c.L2Banks > 64:
 		return fmt.Errorf("scenario %s: l2_banks %d outside [1,64]", s.Name, c.L2Banks)
 	case c.Layers < 1 || c.Layers > 8:
@@ -211,12 +215,14 @@ func (s *Scenario) Validate() error {
 	}
 	d := s.DVFS
 	minHz, stepHz := d.LadderMinMHz*1e6, d.LadderStepMHz*1e6
+	const nonPositive = "scenario %s: non-monotone DVFS ladder: min %g MHz step %g MHz must be positive and finite"
 	switch {
-	case minHz <= 0 || stepHz <= 0:
-		return fmt.Errorf("scenario %s: non-monotone DVFS ladder: min %g MHz step %g MHz must be positive",
-			s.Name, d.LadderMinMHz, d.LadderStepMHz)
+	case !(minHz > 0):
+		return check.Fail("ladder_min_mhz", d.LadderMinMHz, nonPositive, s.Name, d.LadderMinMHz, d.LadderStepMHz)
+	case !(stepHz > 0 && check.Finite(stepHz)):
+		return check.Fail("ladder_step_mhz", d.LadderStepMHz, nonPositive, s.Name, d.LadderMinMHz, d.LadderStepMHz)
 	case minHz > tech.FNominal:
-		return fmt.Errorf("scenario %s: non-monotone DVFS ladder: min %g MHz above %s nominal %g MHz",
+		return check.Fail("ladder_min_mhz", d.LadderMinMHz, "scenario %s: non-monotone DVFS ladder: min %g MHz above %s nominal %g MHz",
 			s.Name, d.LadderMinMHz, tech.Name, tech.FNominal/1e6)
 	}
 	if len(d.Domains) > 0 {
@@ -230,8 +236,8 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: duplicate domain %q", s.Name, dom.Name)
 			}
 			seen[dom.Name] = true
-			if dom.SpeedRatio < 0 || dom.SpeedRatio > 1 {
-				return fmt.Errorf("scenario %s: domain %q speed_ratio %g outside (0,1]",
+			if !check.In(dom.SpeedRatio, 0, 1) {
+				return check.Fail("speed_ratio", dom.SpeedRatio, "scenario %s: domain %q speed_ratio %g outside (0,1]",
 					s.Name, dom.Name, dom.SpeedRatio)
 			}
 			if len(dom.Cores) == 0 {
@@ -267,8 +273,8 @@ func (s *Scenario) Validate() error {
 		if cl.IssueWidth < 0 || cl.IssueWidth > 16 {
 			return fmt.Errorf("scenario %s: class %q issue_width %d outside [0,16]", s.Name, cl.Name, cl.IssueWidth)
 		}
-		if cl.IPCScale < 0 || cl.IPCScale > 4 {
-			return fmt.Errorf("scenario %s: class %q ipc_scale %g outside (0,4]", s.Name, cl.Name, cl.IPCScale)
+		if !check.In(cl.IPCScale, 0, 4) {
+			return check.Fail("ipc_scale", cl.IPCScale, "scenario %s: class %q ipc_scale %g outside (0,4]", s.Name, cl.Name, cl.IPCScale)
 		}
 	}
 	if len(s.Cores.Assign) > 0 {
@@ -282,8 +288,8 @@ func (s *Scenario) Validate() error {
 			}
 		}
 	}
-	if s.Thermal.RInterLayer < 0 {
-		return fmt.Errorf("scenario %s: r_interlayer %g must be >= 0", s.Name, s.Thermal.RInterLayer)
+	if !check.In(s.Thermal.RInterLayer, 0, math.MaxFloat64) {
+		return check.Fail("r_interlayer", s.Thermal.RInterLayer, "scenario %s: r_interlayer %g must be finite and >= 0", s.Name, s.Thermal.RInterLayer)
 	}
 	return nil
 }

@@ -3,9 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cmppower/internal/check"
 )
 
 func TestBaselineValidAndStableDigest(t *testing.T) {
@@ -161,6 +165,33 @@ func TestValidateErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q lacks %q", tc.name, err, tc.want)
+		}
+	}
+	// Every float field rejects NaN and ±Inf with a typed error naming
+	// it; a range test in the v < lo || v > hi form passes NaN. JSON
+	// cannot carry these values, but Go callers can.
+	floats := map[string]func(*Scenario, float64){
+		"die_w_mm":        func(s *Scenario, v float64) { s.Chip.DieWMm = v },
+		"die_h_mm":        func(s *Scenario, v float64) { s.Chip.DieHMm = v },
+		"ladder_min_mhz":  func(s *Scenario, v float64) { s.DVFS.LadderMinMHz = v },
+		"ladder_step_mhz": func(s *Scenario, v float64) { s.DVFS.LadderStepMHz = v },
+		"speed_ratio": func(s *Scenario, v float64) {
+			s.DVFS.Domains = []DomainSpec{{Name: "all", Cores: make([]int, 16), SpeedRatio: v}}
+			for i := range s.DVFS.Domains[0].Cores {
+				s.DVFS.Domains[0].Cores[i] = i
+			}
+		},
+		"ipc_scale":    func(s *Scenario, v float64) { s.Cores.Classes = []CoreClass{{Name: "c", IPCScale: v}} },
+		"r_interlayer": func(s *Scenario, v float64) { s.Thermal.RInterLayer = v },
+	}
+	for field, set := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := Baseline()
+			set(s, v)
+			var ce *check.Error
+			if err := s.Validate(); !errors.As(err, &ce) || ce.Field != field {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", field, v, err, field)
+			}
 		}
 	}
 }

@@ -37,9 +37,8 @@ type LoadConfig struct {
 	// URL is the target endpoint (for PlaySchedule: the base URL the
 	// schedule's endpoint paths are appended to).
 	URL string
-	// Method defaults to POST when Body is non-empty, GET otherwise.
-	Method string
-	// Body is the JSON request body template.
+	// Body is the JSON request body template: Load POSTs it, or sends
+	// GETs when it is empty.
 	Body []byte
 	// Duration is the wall-clock length of each step (default 10 s).
 	Duration time.Duration
@@ -65,13 +64,6 @@ type LoadConfig struct {
 func (c LoadConfig) withDefaults() (LoadConfig, error) {
 	if c.URL == "" {
 		return c, fmt.Errorf("loadgen: no URL")
-	}
-	if c.Method == "" {
-		if len(c.Body) > 0 {
-			c.Method = http.MethodPost
-		} else {
-			c.Method = http.MethodGet
-		}
 	}
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Second
@@ -396,9 +388,13 @@ func Load(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	method := http.MethodGet
+	if len(cfg.Body) > 0 {
+		method = http.MethodPost
+	}
 	out := &LoadResult{}
 	if cfg.Rate > 0 {
-		step, err := openLoop(ctx, cfg, nextBody)
+		step, err := openLoop(ctx, cfg, method, nextBody)
 		if err != nil {
 			return nil, err
 		}
@@ -410,7 +406,7 @@ func Load(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		steps = []int{cfg.Concurrency}
 	}
 	for _, conc := range steps {
-		step, err := closedLoop(ctx, cfg, conc, nextBody)
+		step, err := closedLoop(ctx, cfg, method, conc, nextBody)
 		if err != nil {
 			return nil, err
 		}
@@ -480,7 +476,7 @@ const default429Backoff = 50 * time.Millisecond
 // rate self-regulates the way real backed-off clients would. Open-loop
 // mode deliberately does not back off: its arrival process models an
 // external population the server cannot slow down.
-func closedLoop(ctx context.Context, cfg LoadConfig, conc int, nextBody func() []byte) (StepResult, error) {
+func closedLoop(ctx context.Context, cfg LoadConfig, method string, conc int, nextBody func() []byte) (StepResult, error) {
 	col := newCollector()
 	stepCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
@@ -492,7 +488,7 @@ func closedLoop(ctx context.Context, cfg LoadConfig, conc int, nextBody func() [
 		go func() {
 			defer wg.Done()
 			for stepCtx.Err() == nil {
-				status, retryAfter := fire(stepCtx, cfg, col, cfg.Method, cfg.URL, nextBody(), "", "")
+				status, retryAfter := fire(stepCtx, cfg, col, method, cfg.URL, nextBody(), "", "")
 				if status == http.StatusTooManyRequests {
 					if retryAfter <= 0 {
 						retryAfter = default429Backoff
@@ -521,7 +517,7 @@ func closedLoop(ctx context.Context, cfg LoadConfig, conc int, nextBody func() [
 // offered. The in-flight population is bounded (4096) so a stalled
 // server saturates the client visibly (Dropped) instead of exhausting
 // its memory.
-func openLoop(ctx context.Context, cfg LoadConfig, nextBody func() []byte) (StepResult, error) {
+func openLoop(ctx context.Context, cfg LoadConfig, method string, nextBody func() []byte) (StepResult, error) {
 	col := newCollector()
 	stepCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
@@ -559,7 +555,7 @@ func openLoop(ctx context.Context, cfg LoadConfig, nextBody func() []byte) (Step
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fire(stepCtx, cfg, col, cfg.Method, cfg.URL, nextBody(), "", "")
+			fire(stepCtx, cfg, col, method, cfg.URL, nextBody(), "", "")
 		}()
 	}
 	// The dispatch window closes here; everything after is drain.

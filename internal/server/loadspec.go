@@ -29,7 +29,6 @@ func PlaySchedule(ctx context.Context, cfg LoadConfig, sched *traffic.Schedule) 
 		return nil, fmt.Errorf("loadgen: schedule has no arrivals")
 	}
 	cfg.Body = nil
-	cfg.Method = http.MethodPost
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err

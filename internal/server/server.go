@@ -51,6 +51,10 @@ import (
 // Go's stdlib has no name for it).
 const StatusClientClosedRequest = 499
 
+// MaxBodyBytes bounds every request body, on the server and on the
+// router in front of it, so both tiers refuse the same bodies.
+const MaxBodyBytes = 1 << 20
+
 // Config parameterizes a Server. The zero value gives the documented
 // defaults.
 type Config struct {
@@ -68,8 +72,6 @@ type Config struct {
 	// RequestTimeout is the per-request simulation deadline (<= 0 means
 	// 120 s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (<= 0 means 1 MiB).
-	MaxBodyBytes int64
 	// SurrogateOff disables the surrogate fast path: no store is built,
 	// no runs train fits, and surrogate-mode requests always fall back to
 	// simulation. The zero value (surrogate on) changes nothing about
@@ -100,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 120 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -289,7 +288,7 @@ func (s *Server) instrument(h func(http.ResponseWriter, *http.Request)) func(htt
 		}()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		h(sw, r.WithContext(ctx))
 	}
 }

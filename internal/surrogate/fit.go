@@ -214,11 +214,32 @@ type fitResult struct {
 	reason string
 }
 
+// The activation rules every fit is held to (DESIGN.md §14).
+const (
+	// minSamples is the smallest sample set a fit may activate from.
+	minSamples = 6
+	// minDistinctN / minDistinctFreq are the identifiability floor: the
+	// training rows must span at least this many distinct core counts /
+	// frequencies. This is what makes single-point and collinear
+	// (one-frequency) sets refuse to activate.
+	minDistinctN    = 3
+	minDistinctFreq = 2
+	// safety multiplies the worst held-out residual into the advertised
+	// bound.
+	safety = 2
+	// floorErr is added to the bound so a lucky holdout can never
+	// advertise near-zero error.
+	floorErr = 0.02
+	// maxBound is the activation budget: a fit whose bound exceeds it
+	// refuses to serve.
+	maxBound = 0.15
+)
+
 // fit runs the full pipeline on a sample set: deterministic sort and
 // holdout split, joint (s, c, θc, θm) time fit on the training rows,
 // linear power fit, held-out residual bound, and the activation rules.
 // It never mutates samples.
-func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fitResult {
+func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample) fitResult {
 	if nomFreqHz <= 0 || nomVolt <= 0 {
 		return fitResult{reason: "no nominal operating point"}
 	}
@@ -240,8 +261,8 @@ func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fit
 			return a.PowerW < b.PowerW
 		}
 	})
-	if len(ss) < opt.MinSamples {
-		return fitResult{reason: fmt.Sprintf("%d samples < %d required", len(ss), opt.MinSamples)}
+	if len(ss) < minSamples {
+		return fitResult{reason: fmt.Sprintf("%d samples < %d required", len(ss), minSamples)}
 	}
 	// Deterministic holdout: every third row of the sorted set. The split
 	// interleaves core counts, frequencies and seeds, so the held-out
@@ -254,11 +275,11 @@ func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fit
 			train = append(train, s)
 		}
 	}
-	if distinct(train, func(s Sample) float64 { return float64(s.N) }) < opt.MinDistinctN {
-		return fitResult{reason: fmt.Sprintf("fewer than %d distinct core counts", opt.MinDistinctN)}
+	if distinct(train, func(s Sample) float64 { return float64(s.N) }) < minDistinctN {
+		return fitResult{reason: fmt.Sprintf("fewer than %d distinct core counts", minDistinctN)}
 	}
-	if distinct(train, func(s Sample) float64 { return s.Freq }) < opt.MinDistinctFreq {
-		return fitResult{reason: fmt.Sprintf("fewer than %d distinct frequencies", opt.MinDistinctFreq)}
+	if distinct(train, func(s Sample) float64 { return s.Freq }) < minDistinctFreq {
+		return fitResult{reason: fmt.Sprintf("fewer than %d distinct frequencies", minDistinctFreq)}
 	}
 
 	f := &Fit{
@@ -268,8 +289,8 @@ func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fit
 	if reason := fitPerN(f, train); reason != "" {
 		return fitResult{reason: reason}
 	}
-	if len(f.Ns) < opt.MinDistinctN {
-		return fitResult{reason: fmt.Sprintf("only %d identifiable core counts < %d required", len(f.Ns), opt.MinDistinctN)}
+	if len(f.Ns) < minDistinctN {
+		return fitResult{reason: fmt.Sprintf("only %d identifiable core counts < %d required", len(f.Ns), minDistinctN)}
 	}
 	// From here on only in-region rows train the global curve and the
 	// power model: core counts whose pair was unidentifiable are never
@@ -307,10 +328,10 @@ func fit(key Key, nomFreqHz, nomVolt float64, samples []Sample, opt Options) fit
 	if f.HoldoutSamples == 0 {
 		return fitResult{reason: "no in-region holdout samples"}
 	}
-	f.Bound = opt.Safety*math.Max(f.HoldoutErrT, f.HoldoutErrP) + opt.FloorErr
+	f.Bound = safety*math.Max(f.HoldoutErrT, f.HoldoutErrP) + floorErr
 	// Written so a NaN bound (a NaN holdout error) is refused too.
-	if !(f.Bound <= opt.MaxBound) {
-		return fitResult{reason: fmt.Sprintf("residual bound %.3f exceeds budget %.3f", f.Bound, opt.MaxBound)}
+	if !(f.Bound <= maxBound) {
+		return fitResult{reason: fmt.Sprintf("residual bound %.3f exceeds budget %.3f", f.Bound, maxBound)}
 	}
 	// The training residuals must respect the bound too: a fit that
 	// cannot reproduce its own inputs within the advertised error has no

@@ -49,22 +49,22 @@ func synthGrid(ns []int, fracs []float64) []Sample {
 	return out
 }
 
-func synthFit(t *testing.T, ss []Sample, opt Options) fitResult {
+func synthFit(t *testing.T, ss []Sample) fitResult {
 	t.Helper()
-	return fit(synthKey, synthNomFreq, synthNomVolt, ss, opt.withDefaults())
+	return fit(synthKey, synthNomFreq, synthNomVolt, ss)
 }
 
 // TestFitActivatesOnSyntheticModel: a fixture drawn exactly from the
 // model family must activate, with a bound at the floor (the holdout
 // residuals are numerically zero) and near-exact predictions.
 func TestFitActivatesOnSyntheticModel(t *testing.T) {
-	res := synthFit(t, synthGrid([]int{1, 2, 4, 8}, []float64{1.0, 0.75, 0.55}), Options{})
+	res := synthFit(t, synthGrid([]int{1, 2, 4, 8}, []float64{1.0, 0.75, 0.55}))
 	if res.fit == nil {
 		t.Fatalf("fit refused: %s", res.reason)
 	}
 	f := res.fit
 	if f.Bound > 0.021 {
-		t.Errorf("Bound = %v on an exact-model fixture, want ≈ FloorErr 0.02", f.Bound)
+		t.Errorf("Bound = %v on an exact-model fixture, want ≈ floorErr 0.02", f.Bound)
 	}
 	if !reflect.DeepEqual(f.Ns, []int{1, 2, 4, 8}) {
 		t.Errorf("Ns = %v, want [1 2 4 8]", f.Ns)
@@ -89,7 +89,7 @@ func TestFitActivatesOnSyntheticModel(t *testing.T) {
 // sample arrival order (scheduling feeds the store concurrently).
 func TestFitDeterministicUnderPermutation(t *testing.T) {
 	ss := synthGrid([]int{1, 2, 4}, []float64{1.0, 0.7})
-	want := synthFit(t, ss, Options{})
+	want := synthFit(t, ss)
 	if want.fit == nil {
 		t.Fatalf("fit refused: %s", want.reason)
 	}
@@ -97,7 +97,7 @@ func TestFitDeterministicUnderPermutation(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		perm := append([]Sample(nil), ss...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		got := synthFit(t, perm, Options{})
+		got := synthFit(t, perm)
 		if got.fit == nil || !reflect.DeepEqual(*got.fit, *want.fit) {
 			t.Fatalf("trial %d: permuted fit differs:\n got %+v\nwant %+v", trial, got.fit, want.fit)
 		}
@@ -122,7 +122,7 @@ func TestFitRefusals(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := synthFit(t, tc.ss, Options{})
+			res := synthFit(t, tc.ss)
 			if res.fit != nil {
 				t.Fatalf("activated on %s", tc.name)
 			}
@@ -151,7 +151,7 @@ func TestFitRefusesNoisyData(t *testing.T) {
 		k := 1 + (rng.Float64() - 0.5) // ±50% multiplicative noise
 		ss[i].Seconds *= k
 	}
-	res := synthFit(t, ss, Options{})
+	res := synthFit(t, ss)
 	if res.fit != nil {
 		t.Fatalf("activated on ±50%% noise with bound %v", res.fit.Bound)
 	}
@@ -165,7 +165,7 @@ func TestFitRefusesNoisyData(t *testing.T) {
 // guarantees it for s, c ≥ 0, and the grid search never leaves that
 // quadrant).
 func TestEpsPinnedAndMonotone(t *testing.T) {
-	res := synthFit(t, synthGrid([]int{1, 2, 4, 8}, []float64{1.0, 0.75, 0.55}), Options{})
+	res := synthFit(t, synthGrid([]int{1, 2, 4, 8}, []float64{1.0, 0.75, 0.55}))
 	if res.fit == nil {
 		t.Fatalf("fit refused: %s", res.reason)
 	}
@@ -273,7 +273,7 @@ func TestStoreSelfValidation(t *testing.T) {
 // TestPredictOutOfRegion: untrained core counts and frequencies outside
 // the trained span refuse, so the server falls back to simulation.
 func TestPredictOutOfRegion(t *testing.T) {
-	res := synthFit(t, synthGrid([]int{1, 2, 4}, []float64{1.0, 0.7}), Options{})
+	res := synthFit(t, synthGrid([]int{1, 2, 4}, []float64{1.0, 0.7}))
 	if res.fit == nil {
 		t.Fatalf("fit refused: %s", res.reason)
 	}

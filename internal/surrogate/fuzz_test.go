@@ -53,7 +53,7 @@ func encodeFuzzSamples(ss []Sample) []byte {
 // every input, not just plausible ones:
 //
 //   - no panic, and every refusal carries a reason;
-//   - an activated fit advertises a bound in (0, MaxBound] at or above
+//   - an activated fit advertises a bound in (0, maxBound] at or above
 //     the floor, fitted efficiency parameters inside the searched
 //     quadrant with ε(1) = 1 and ε monotone non-increasing, and a
 //     well-formed region (sorted trained core counts, a positive
@@ -94,8 +94,8 @@ func FuzzSurrogateFit(f *testing.F) {
 			}
 			return
 		}
-		if !(fit.Bound > 0) || fit.Bound > st.opt.MaxBound || fit.Bound < st.opt.FloorErr {
-			t.Fatalf("activated with bound %v outside (0, %v], floor %v", fit.Bound, st.opt.MaxBound, st.opt.FloorErr)
+		if !(fit.Bound > 0) || fit.Bound > maxBound || fit.Bound < floorErr {
+			t.Fatalf("activated with bound %v outside (0, %v], floor %v", fit.Bound, maxBound, floorErr)
 		}
 		if fit.Serial < 0 || fit.Serial > 0.5 || fit.Comm < 0 || fit.Comm > 0.5 {
 			t.Fatalf("fitted (s, c) = (%v, %v) left the search quadrant", fit.Serial, fit.Comm)
@@ -111,8 +111,8 @@ func FuzzSurrogateFit(f *testing.F) {
 			}
 			prev = e
 		}
-		if len(fit.Ns) < st.opt.MinDistinctN {
-			t.Fatalf("region has %d core counts < %d", len(fit.Ns), st.opt.MinDistinctN)
+		if len(fit.Ns) < minDistinctN {
+			t.Fatalf("region has %d core counts < %d", len(fit.Ns), minDistinctN)
 		}
 		for i, n := range fit.Ns {
 			if i > 0 && n <= fit.Ns[i-1] {

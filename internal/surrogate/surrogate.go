@@ -58,30 +58,13 @@ func (s Sample) valid() bool {
 	return s.N >= 1
 }
 
-// Options parameterizes a Store; the zero value takes the documented
-// defaults.
+// Options parameterizes a Store's sample window and metrics; the zero
+// value takes the documented defaults. The activation rules a fit must
+// pass are fixed (minSamples through maxBound in fit.go).
 type Options struct {
 	// MaxSamples bounds each key's sample window (FIFO beyond the bound;
 	// <= 0 means 512).
 	MaxSamples int
-	// MinSamples is the smallest sample set a fit may activate from
-	// (<= 0 means 6).
-	MinSamples int
-	// MinDistinctN / MinDistinctFreq are the identifiability floor: the
-	// training rows must span at least this many distinct core counts /
-	// frequencies (<= 0 means 3 and 2). This is what makes single-point
-	// and collinear (one-frequency) sets refuse to activate.
-	MinDistinctN    int
-	MinDistinctFreq int
-	// Safety multiplies the worst held-out residual into the advertised
-	// bound (<= 0 means 2).
-	Safety float64
-	// FloorErr is added to the bound so a lucky holdout can never
-	// advertise near-zero error (<= 0 means 0.02).
-	FloorErr float64
-	// MaxBound is the activation budget: a fit whose bound exceeds it
-	// refuses to serve (<= 0 means 0.15).
-	MaxBound float64
 	// Registry receives the surrogate metrics (all volatile); nil is
 	// free.
 	Registry *obs.Registry
@@ -90,24 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = 512
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 6
-	}
-	if o.MinDistinctN <= 0 {
-		o.MinDistinctN = 3
-	}
-	if o.MinDistinctFreq <= 0 {
-		o.MinDistinctFreq = 2
-	}
-	if o.Safety <= 0 {
-		o.Safety = 2
-	}
-	if o.FloorErr <= 0 {
-		o.FloorErr = 0.02
-	}
-	if o.MaxBound <= 0 {
-		o.MaxBound = 0.15
 	}
 	return o
 }
@@ -206,7 +171,7 @@ func (s *Store) fitAndReason(key Key) (*Fit, string) {
 	}
 	if b.dirty {
 		b.dirty = false
-		res := fit(key, b.nomFreq, b.nomVolt, b.samples, s.opt)
+		res := fit(key, b.nomFreq, b.nomVolt, b.samples)
 		b.fit, b.reason = res.fit, res.reason
 		s.gen++
 		s.reg.VolatileCounter("surrogate_refreshes_total").Add(1)
