@@ -172,7 +172,7 @@ func runFig3(args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the whole sweep after this duration (0 = none)")
 	dtm := fs.Bool("dtm", false, "run the DTM controller on every run and report its summary")
 	retries := fs.Int("retries", 3, "attempts per app for injected-transient failures")
-	jobs := fs.Int("j", 0, "sweep worker count; 0 = GOMAXPROCS (output is identical for every -j)")
+	jobs := fs.Int("j", 0, "simulations in flight; 0 = GOMAXPROCS (output is identical for every -j)")
 	scnF := addScenarioFlag(fs)
 	obsF := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -265,7 +265,7 @@ func runFig4(args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the whole sweep after this duration (0 = none)")
 	dtm := fs.Bool("dtm", false, "run the DTM controller on every run and report its summary")
 	retries := fs.Int("retries", 3, "attempts per app for injected-transient failures")
-	jobs := fs.Int("j", 0, "sweep worker count; 0 = GOMAXPROCS (output is identical for every -j)")
+	jobs := fs.Int("j", 0, "simulations in flight; 0 = GOMAXPROCS (output is identical for every -j)")
 	scnF := addScenarioFlag(fs)
 	obsF := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {

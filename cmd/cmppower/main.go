@@ -31,8 +31,9 @@
 //	cmppower loadgen [-url U] [-body JSON] [-duration D] [-c N] [-rate R] [-ramp list] [-vary FIELD] [-json] [-strict]
 //	cmppower loadgen -spec FILE | -trace FILE [-url BASE] [-seed N] [-plan] [-achieved-min F] [-json] [-strict]
 //
-// Sweep-style commands accept -j to fan work across a bounded worker pool
-// (0 = GOMAXPROCS); output is bit-identical for every -j.
+// Sweep-style commands accept -j to bound the work in flight (0 =
+// GOMAXPROCS): the simulations of fig3 and fig4, the work items of
+// explore and doctor; output is bit-identical for every -j.
 //
 // fig3, fig4, and explore additionally accept -metrics FILE (Prometheus
 // text exposition of the run's counters and histograms) and -manifest

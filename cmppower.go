@@ -249,8 +249,8 @@ func DefaultRetryConfig() RetryConfig { return experiment.DefaultRetryConfig() }
 type SweepOutcome = experiment.SweepOutcome
 
 // SweepConfig configures a parallel sweep: retry policy, worker count
-// (<= 0 means GOMAXPROCS) and run memoization. Sweep output is
-// bit-identical for every worker count.
+// (the simulations in flight; <= 0 means GOMAXPROCS) and run
+// memoization. Sweep output is bit-identical for every worker count.
 type SweepConfig = experiment.SweepConfig
 
 // MemoStats reports an Experiment's run-memoization counters.
