@@ -37,9 +37,29 @@ type Table struct {
 	points []OperatingPoint
 }
 
+// MaxPoints bounds the length of a ladder. The shipped scenarios use 16
+// and 8 points; 4096 admits a 1 MHz step across a 4 GHz range.
+const MaxPoints = 4096
+
+// LadderLen returns the number of points NewTable builds from fmin to
+// fmax in steps of step on a chip whose nominal frequency is fnominal,
+// without building any: one per step up to fmax (clamped to fnominal),
+// plus the nominal point when the last step falls short of it. It is a
+// float so that a step too small to count with gives +Inf or NaN, which
+// fail LadderLen(...) <= MaxPoints, where an integer would overflow.
+func LadderLen(fnominal, fmin, fmax, step float64) float64 {
+	fmax = math.Min(fmax, fnominal)
+	n := math.Floor((fmax*(1+1e-9)-fmin)/step) + 1
+	if fmin+(n-1)*step < fnominal*(1-1e-9) {
+		n++
+	}
+	return n
+}
+
 // NewTable builds a ladder from fmin to fmax (inclusive, fmax clamped to
-// the technology's nominal frequency) with the given step. Voltages come
-// from the technology's alpha-power law with the Vmin floor.
+// the technology's nominal frequency) with the given step, of at most
+// MaxPoints points. Voltages come from the technology's alpha-power law
+// with the Vmin floor.
 func NewTable(tech phys.Technology, fmin, fmax, step float64) (*Table, error) {
 	if err := tech.Validate(); err != nil {
 		return nil, err
@@ -48,10 +68,18 @@ func NewTable(tech phys.Technology, fmin, fmax, step float64) (*Table, error) {
 	switch {
 	case !(fmin > 0 && check.Finite(fmin)):
 		return nil, check.Fail("fmin", fmin, badBounds, fmin, fmax, step)
+	case fmin > tech.FNominal:
+		return nil, check.Fail("fmin", fmin, "dvfs: ladder fmin=%g above the nominal %g", fmin, tech.FNominal)
 	case !check.In(fmax, fmin, math.MaxFloat64):
 		return nil, check.Fail("fmax", fmax, badBounds, fmin, fmax, step)
 	case !(step > 0 && check.Finite(step)):
 		return nil, check.Fail("step", step, badBounds, fmin, fmax, step)
+	}
+	// Counted before anything is built: a step under the float spacing of
+	// fmin would never advance f below, and asks for far more points.
+	if n := LadderLen(tech.FNominal, fmin, fmax, step); !(n <= MaxPoints) {
+		return nil, check.Fail("step", step, "dvfs: ladder fmin=%g fmax=%g step=%g has %g points, over %d",
+			fmin, fmax, step, n, MaxPoints)
 	}
 	if fmax > tech.FNominal {
 		fmax = tech.FNominal

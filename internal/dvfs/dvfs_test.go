@@ -104,6 +104,40 @@ func TestNewTableRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestNewTableBoundsLength: a ladder is counted before it is built, so a
+// step too fine for MaxPoints is refused at once with a *check.Error on
+// step, including a step under the float spacing of fmin, which would
+// never advance the ladder; a ladder of exactly MaxPoints points is
+// built. An fmin above nominal, a ladder of no points, is refused on
+// fmin.
+func TestNewTableBoundsLength(t *testing.T) {
+	tech := phys.Tech65()
+	const step = 0.5e6
+	fmin := tech.FNominal - (MaxPoints-1)*step
+	tab, err := NewTable(tech, fmin, tech.FNominal, step)
+	if err != nil {
+		t.Fatalf("ladder of MaxPoints points refused: %v", err)
+	}
+	if got := len(tab.Points()); got != MaxPoints {
+		t.Errorf("ladder has %d points, want %d", got, MaxPoints)
+	}
+	for _, c := range []struct{ fmin, step float64 }{
+		{fmin - step, step}, // one point over
+		{200e6, 1},          // 3·10⁹ points
+		{200e6, 1e-9},       // under half the float spacing at 200 MHz
+		{200e6, 5e-324},     // the count overflows to +Inf
+	} {
+		var ce *check.Error
+		if _, err := NewTable(tech, c.fmin, tech.FNominal, c.step); !errors.As(err, &ce) || ce.Field != "step" {
+			t.Errorf("fmin %g step %g: got %v, want a *check.Error on step", c.fmin, c.step, err)
+		}
+	}
+	var ce *check.Error
+	if _, err := NewTable(tech, 2*tech.FNominal, 3*tech.FNominal, 1e8); !errors.As(err, &ce) || ce.Field != "fmin" {
+		t.Errorf("fmin above nominal: got %v, want a *check.Error on fmin", err)
+	}
+}
+
 func TestNewDomainSetRejectsBadRatio(t *testing.T) {
 	set := func(r float64) error {
 		_, err := NewDomainSet(2, []Domain{

@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"cmppower/internal/check"
+	"cmppower/internal/dvfs"
 	"cmppower/internal/phys"
 )
 
@@ -74,8 +75,8 @@ type ChipSpec struct {
 // DVFSSpec is the operating-point ladder and its domains.
 type DVFSSpec struct {
 	// LadderMinMHz and LadderStepMHz shape the ladder (defaults 200/200,
-	// the paper's Pentium-M-style ladder). The top is always the node's
-	// nominal frequency.
+	// the paper's Pentium-M-style ladder), of at most dvfs.MaxPoints
+	// points. The top is always the node's nominal frequency.
 	LadderMinMHz  float64 `json:"ladder_min_mhz,omitempty"`
 	LadderStepMHz float64 `json:"ladder_step_mhz,omitempty"`
 	// Quantize restricts chosen operating points to discrete ladder steps
@@ -224,6 +225,9 @@ func (s *Scenario) Validate() error {
 	case minHz > tech.FNominal:
 		return check.Fail("ladder_min_mhz", d.LadderMinMHz, "scenario %s: non-monotone DVFS ladder: min %g MHz above %s nominal %g MHz",
 			s.Name, d.LadderMinMHz, tech.Name, tech.FNominal/1e6)
+	case !(dvfs.LadderLen(tech.FNominal, minHz, tech.FNominal, stepHz) <= dvfs.MaxPoints):
+		return check.Fail("ladder_step_mhz", d.LadderStepMHz, "scenario %s: DVFS ladder from %g MHz in %g MHz steps has more than %d points",
+			s.Name, d.LadderMinMHz, d.LadderStepMHz, dvfs.MaxPoints)
 	}
 	if len(d.Domains) > 0 {
 		assigned := make([]string, c.TotalCores)

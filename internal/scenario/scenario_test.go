@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cmppower/internal/check"
+	"cmppower/internal/dvfs"
 )
 
 func TestBaselineValidAndStableDigest(t *testing.T) {
@@ -166,6 +167,21 @@ func TestValidateErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q lacks %q", tc.name, err, tc.want)
 		}
+	}
+	// The ladder's length is bounded by dvfs.MaxPoints, and the refusal
+	// names the step; a ladder of exactly that many points is accepted.
+	for _, step := range []float64{1e-6, 1e-15} {
+		var ce *check.Error
+		if err := mod(func(s *Scenario) { s.DVFS.LadderStepMHz = step }).Validate(); !errors.As(err, &ce) || ce.Field != "ladder_step_mhz" {
+			t.Errorf("ladder_step_mhz %g: got %v, want a *check.Error on ladder_step_mhz", step, err)
+		}
+	}
+	full := mod(func(s *Scenario) {
+		s.DVFS.LadderStepMHz = 0.5
+		s.DVFS.LadderMinMHz = 3200 - (dvfs.MaxPoints-1)*0.5
+	})
+	if err := full.Validate(); err != nil {
+		t.Errorf("ladder of exactly %d points refused: %v", dvfs.MaxPoints, err)
 	}
 	// Every float field rejects NaN and ±Inf with a typed error naming
 	// it; a range test in the v < lo || v > hi form passes NaN. JSON

@@ -114,6 +114,7 @@ func TestRunEndpointChipRejections(t *testing.T) {
 		{"invalid chip", `{"app":"FFT","n":2,"chip":{"name":"bad","chip":{"total_cores":999}}}`},
 		{"unknown field", `{"app":"FFT","n":2,"chip":{"name":"typo","chip":{"totel_cores":8}}}`},
 		{"n beyond chip", `{"app":"FFT","n":16,"chip":{"name":"small","chip":{"total_cores":8}}}`},
+		{"ladder too long", `{"app":"FFT","n":2,"chip":{"name":"fine","dvfs":{"ladder_step_mhz":1e-6}}}`},
 	}
 	for _, tc := range cases {
 		status, body := post(t, ts.Client(), ts.URL+"/v1/run", tc.body)
