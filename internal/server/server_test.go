@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cmppower/internal/check"
 	"cmppower/internal/experiment"
 	"cmppower/internal/splash"
 	"cmppower/internal/traffic"
@@ -206,6 +208,34 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestValidateRejectsNonFinite: every float field of the request bodies
+// refuses NaN and ±Inf with a *check.Error naming it. JSON cannot carry
+// these values, but Go callers of Validate can; a NaN scale or an
+// infinite freq_mhz used to pass, and a non-finite freq_mhz then ran
+// silently at the nominal point.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, tc := range map[string]struct {
+			field string
+			req   interface {
+				ApplyDefaults()
+				Validate() error
+			}
+		}{
+			"run scale":     {"scale", &RunRequest{App: "FFT", N: 2, Scale: v}},
+			"run freq_mhz":  {"freq_mhz", &RunRequest{App: "FFT", N: 2, FreqMHz: v}},
+			"sweep scale":   {"scale", &SweepRequest{Scenario: "I", Scale: v}},
+			"explore scale": {"scale", &ExploreRequest{Scale: v}},
+		} {
+			tc.req.ApplyDefaults()
+			var ce *check.Error
+			if err := tc.req.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+				t.Errorf("%s = %g: got %v, want a *check.Error on %s", name, v, err, tc.field)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"cmppower/internal/check"
 	"cmppower/internal/experiment"
 	"cmppower/internal/explore"
 	"cmppower/internal/identity"
@@ -83,11 +85,11 @@ func (r *RunRequest) Validate() error {
 	if r.N < 1 || r.N > maxN {
 		return fmt.Errorf("n %d outside [1,%d]", r.N, maxN)
 	}
-	if r.Scale <= 0 || r.Scale > 4 {
-		return fmt.Errorf("scale %g outside (0,4]", r.Scale)
+	if err := checkScale(r.Scale); err != nil {
+		return err
 	}
-	if r.FreqMHz < 0 {
-		return fmt.Errorf("negative freq_mhz %g", r.FreqMHz)
+	if !check.In(r.FreqMHz, 0, math.MaxFloat64) {
+		return check.Fail("freq_mhz", r.FreqMHz, "freq_mhz %g must be finite and non-negative", r.FreqMHz)
 	}
 	return validateMode(r.Mode)
 }
@@ -166,8 +168,8 @@ func (r *SweepRequest) Validate() error {
 			return fmt.Errorf("core count %d outside [1,%d]", n, maxN)
 		}
 	}
-	if r.Scale <= 0 || r.Scale > 4 {
-		return fmt.Errorf("scale %g outside (0,4]", r.Scale)
+	if err := checkScale(r.Scale); err != nil {
+		return err
 	}
 	if r.Retries < 1 || r.Retries > 10 {
 		return fmt.Errorf("retries %d outside [1,10]", r.Retries)
@@ -259,8 +261,8 @@ func (r *ExploreRequest) Validate() error {
 	if _, err := validateChip(r.Chip); err != nil {
 		return err
 	}
-	if r.Scale <= 0 || r.Scale > 4 {
-		return fmt.Errorf("scale %g outside (0,4]", r.Scale)
+	if err := checkScale(r.Scale); err != nil {
+		return err
 	}
 	return validateMode(r.Mode)
 }
@@ -283,6 +285,15 @@ func NewExploreResponse(outs []explore.Outcome) *ExploreResponse {
 		resp.BestEDP[app] = o.Option.Name
 	}
 	return resp
+}
+
+// checkScale refuses a request's workload scale outside (0, 4], NaN
+// and the infinities included.
+func checkScale(scale float64) error {
+	if !(scale > 0 && scale <= 4) {
+		return check.Fail("scale", scale, "scale %g outside (0,4]", scale)
+	}
+	return nil
 }
 
 // normalizeChip canonicalizes an optional chip scenario in place so two
