@@ -45,40 +45,6 @@ func TestGeoMeanEdges(t *testing.T) {
 	}
 }
 
-func TestWeightedMeanEdges(t *testing.T) {
-	cases := []struct {
-		name    string
-		xs, ws  []float64
-		want    float64
-		wantErr bool
-	}{
-		{"length mismatch", []float64{1, 2}, []float64{1}, 0, true},
-		{"both empty", nil, nil, 0, true}, // zero total weight
-		{"zero weights", []float64{1, 2}, []float64{0, 0}, 0, true},
-		{"negative weight", []float64{1, 2}, []float64{1, -1}, 0, true},
-		{"one-hot", []float64{3, 7}, []float64{0, 2}, 7, false},
-		{"uniform", []float64{1, 2, 3}, []float64{5, 5, 5}, 2, false},
-		{"skewed", []float64{0, 10}, []float64{3, 1}, 2.5, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := WeightedMean(c.xs, c.ws)
-			if c.wantErr {
-				if err == nil {
-					t.Fatalf("WeightedMean(%v, %v) = %g, want error", c.xs, c.ws, got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("WeightedMean(%v, %v): %v", c.xs, c.ws, err)
-			}
-			if math.Abs(got-c.want) > 1e-12 {
-				t.Fatalf("WeightedMean(%v, %v) = %g, want %g", c.xs, c.ws, got, c.want)
-			}
-		})
-	}
-}
-
 func TestEmptySliceSummaries(t *testing.T) {
 	// Min/Max return the identity of their fold so callers can keep folding;
 	// Mean/Sum/Std return 0. All four must be safe on nil.

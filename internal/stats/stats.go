@@ -83,26 +83,6 @@ func GeoMean(xs []float64) (float64, error) {
 	return math.Exp(s / float64(len(xs))), nil
 }
 
-// WeightedMean returns Σ(w·x)/Σw; weights must be non-negative with a
-// positive sum.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ws))
-	}
-	var sw, swx float64
-	for i := range xs {
-		if ws[i] < 0 {
-			return 0, fmt.Errorf("stats: negative weight %g", ws[i])
-		}
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return swx / sw, nil
-}
-
 // Series is a sampled function y(x) with strictly increasing x.
 type Series struct {
 	X, Y []float64

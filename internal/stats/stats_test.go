@@ -47,25 +47,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{10, 20}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-17.5) > 1e-12 {
-		t.Errorf("WeightedMean=%g, want 17.5", got)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("accepted length mismatch")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Error("accepted negative weight")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Error("accepted zero total weight")
-	}
-}
-
 func TestNewSeriesValidation(t *testing.T) {
 	if _, err := NewSeries([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("accepted length mismatch")
