@@ -6,7 +6,9 @@
 # round-trips the file's content digest in the response. (3) Every spec
 # under examples/scenarios/bad is rejected with exit 1, and `scenario
 # validate` accepts every good example. (4) fig3 with DTM on the big/little
-# scenario is byte-identical at -j 1 and -j 4.
+# scenario is byte-identical at -j 1 and -j 4, and fig4 with DTM on it,
+# whose rows run concurrently, at -j 1, 2 and 4. (5) serve refuses a chip
+# body whose DVFS ladder is too long with HTTP 400.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,11 +58,17 @@ echo "== non-baseline scenarios run end to end and hash distinctly =="
 "$BIN" fig3 -apps FFT -scale 0.02 -scenario examples/scenarios/3dstack.json > /dev/null
 "$BIN" fig3 -apps FFT -scale 0.02 -scenario examples/scenarios/manycore128.json > /dev/null
 
-echo "== DTM on a multi-domain chip is byte-identical at -j 1 and -j 4 =="
+echo "== DTM on a multi-domain chip is byte-identical across -j (fig3 at 1, 4; fig4 at 1, 2, 4) =="
 "$BIN" fig3 -apps FFT -scale 0.02 -dtm -scenario examples/scenarios/biglittle.json -j 1 > "$WORKDIR/fig3.dtm.j1.txt"
 "$BIN" fig3 -apps FFT -scale 0.02 -dtm -scenario examples/scenarios/biglittle.json -j 4 > "$WORKDIR/fig3.dtm.j4.txt"
 cmp "$WORKDIR/fig3.dtm.j1.txt" "$WORKDIR/fig3.dtm.j4.txt" || {
   echo "fig3 -dtm -scenario biglittle differs between -j 1 and -j 4" >&2; exit 1; }
+for j in 1 2 4; do
+  "$BIN" fig4 -apps Cholesky,FMM,Radix -scale 0.05 -dtm -scenario examples/scenarios/biglittle.json -j "$j" \
+    > "$WORKDIR/fig4.dtm.j$j.txt"
+  cmp "$WORKDIR/fig4.dtm.j1.txt" "$WORKDIR/fig4.dtm.j$j.txt" || {
+    echo "fig4 -dtm -scenario biglittle differs between -j 1 and -j $j" >&2; exit 1; }
+done
 
 DIGESTS=$("$BIN" scenario digest examples/scenarios/*.json | awk '{print $1}')
 [ "$(echo "$DIGESTS" | sort -u | wc -l)" -eq "$(echo "$DIGESTS" | wc -l)" ] || {
@@ -89,6 +97,11 @@ grep -q "\"chip_digest\":\"$WANT\"" "$WORKDIR/run.json" || {
 STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
   -d '{"app":"FFT","n":2,"chip":{"name":"bad","chip":{"total_cores":999}}}' "$BASE/v1/run")
 [ "$STATUS" = "400" ] || { echo "invalid chip body got HTTP $STATUS, want 400" >&2; exit 1; }
+
+# A ladder too long to build is refused before any rig is built.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+  -d '{"app":"FFT","n":2,"chip":{"name":"fine","dvfs":{"ladder_step_mhz":1e-6}}}' "$BASE/v1/run")
+[ "$STATUS" = "400" ] || { echo "tiny ladder_step_mhz chip body got HTTP $STATUS, want 400" >&2; exit 1; }
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
