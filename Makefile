@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race doctor bench bench-check cover results results-check fuzz golden serve-smoke router-smoke traffic-smoke surrogate-smoke scenario-smoke
+.PHONY: check build test vet race doctor bench-check cover results results-check fuzz golden serve-smoke router-smoke traffic-smoke surrogate-smoke scenario-smoke
 
 check:
 	./scripts/check.sh
@@ -23,16 +23,12 @@ race:
 doctor: build
 	$(GO) run ./cmd/cmppower doctor
 
-# Regenerate the committed benchmark baseline (slow; run on a quiet host).
-bench: build
-	$(GO) run ./cmd/cmppower bench -out BENCH_10.json
-	@cat BENCH_10.json
-
-# CI regression gate: quick re-measure, then compare speedup ratios
-# against the committed baseline (fails on >20% regression).
-bench-check: build
-	$(GO) run ./cmd/cmppower bench -quick -out /tmp/bench-current.json
-	$(GO) run ./scripts/benchgate BENCH_10.json /tmp/bench-current.json
+# Paired performance gate: time the working tree's layer benchmarks
+# against BASE's on this host (scripts/benchgate). The default judges
+# uncommitted changes against the last commit.
+BASE ?= HEAD
+bench-check:
+	$(GO) run ./scripts/benchgate $(BASE)
 
 # Coverage regression gate (floor recorded in scripts/covergate.sh).
 cover:

@@ -200,6 +200,43 @@ func BenchmarkMemoizedRerun(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaign times the paper's full reproduction campaign: Fig. 3
+// (every application) then Fig. 4 (Cholesky, FMM, Radix) over N = 1..16 at
+// scale 1.0 with two sweep workers, on a fresh rig each iteration, so the
+// memo serves only repeats within one campaign. ns/op is the wall time of
+// one campaign.
+func BenchmarkCampaign(b *testing.B) {
+	fig4 := make([]cmppower.App, 0, 3)
+	for _, name := range []string{"Cholesky", "FMM", "Radix"} {
+		app, err := cmppower.AppByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fig4 = append(fig4, app)
+	}
+	counts := []int{1, 2, 4, 8, 16}
+	cfg := cmppower.SweepConfig{Workers: 2}
+	for i := 0; i < b.N; i++ {
+		rig, err := cmppower.NewExperiment(1.0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outs, err := rig.SweepScenarioIWith(context.Background(), cmppower.Apps(), counts, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outs4, err := rig.SweepScenarioIIWith(context.Background(), fig4, counts, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range append(outs, outs4...) {
+			if o.Err != nil {
+				b.Fatalf("%s: %v", o.App, o.Err)
+			}
+		}
+	}
+}
+
 // BenchmarkTable2Catalog measures workload instantiation (Table 2): the
 // cost of building and draining one thread of each application model.
 func BenchmarkTable2Catalog(b *testing.B) {

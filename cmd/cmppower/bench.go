@@ -1,197 +1,39 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"cmppower"
-	"cmppower/internal/floorplan"
 	"cmppower/internal/report"
-	"cmppower/internal/server"
-	"cmppower/internal/thermal"
-	"cmppower/internal/workload"
 )
 
-// benchReport is the BENCH_<n>.json schema: the recorded performance
-// trajectory of the hot loops plus end-to-end figures. Absolute rates
-// are machine-dependent and only comparable on one host; the ratios
-// (fast path vs in-binary reference implementation, sampled vs
-// unsampled run) are what the CI regression gate compares, since both
-// sides of a ratio move together with host speed. No timestamps: the
-// file must be diffable.
-type benchReport struct {
-	Schema    int            `json:"schema"`
-	Engine    engineBench    `json:"engine"`
-	Observed  observedBench  `json:"observed"`
-	Thermal   thermalBench   `json:"thermal"`
-	Fig3      endToEndBench  `json:"fig3"`
-	Sweep     sweepBench     `json:"sweep"`
-	Surrogate surrogateBench `json:"surrogate"`
-}
-
-type engineBench struct {
-	Workload string `json:"workload"`
-	Events   int64  `json:"events"`
-	// Batched is the throughput of runFused, the engine's fast loop;
-	// Unbatched is runUnbatched, the event-at-a-time reference loop (the
-	// seed engine's structure), in the same binary. Best of the measured
-	// repetitions, events per second. The JSON names predate runFused
-	// and stay so older baselines parse.
-	BatchedEventsPerSec   float64 `json:"batched_events_per_sec"`
-	UnbatchedEventsPerSec float64 `json:"unbatched_events_per_sec"`
-	Speedup               float64 `json:"speedup"`
-}
-
-// observedBench is the observed-run figure (schema 10): the engine
-// workload sampled into Intervals equal activity intervals, the density
-// a governed DTM run of the reference length gets, against the same run
-// unsampled. Both run on the fused loop. RelativeSpeed is the unsampled time over the sampled
-// time — 1 means sampling is free — and scripts/benchgate gates it like
-// the speedup ratios.
-type observedBench struct {
-	Workload         string  `json:"workload"`
-	Intervals        int     `json:"intervals"`
-	UnsampledSeconds float64 `json:"unsampled_seconds"`
-	SampledSeconds   float64 `json:"sampled_seconds"`
-	RelativeSpeed    float64 `json:"relative_speed"`
-}
-
-type thermalBench struct {
-	Network string `json:"network"`
-	Nodes   int    `json:"nodes"`
-	// Factored is the LDLᵀ direct SteadyState, Reference the Gauss-Seidel
-	// solver it replaced. Solves per second.
-	FactoredSolvesPerSec  float64 `json:"factored_solves_per_sec"`
-	ReferenceSolvesPerSec float64 `json:"reference_solves_per_sec"`
-	Speedup               float64 `json:"speedup"`
-}
-
-type endToEndBench struct {
-	Config  string  `json:"config"`
-	Seconds float64 `json:"seconds"`
-}
-
-// sweepBench is the incremental-simulation figure (schema 8): one full
-// fig3+fig4 campaign cold (memo disabled — every run simulates) against
-// the same campaign warm (memoization on, so repeated runs are served
-// from the memo). Outputs are bit-identical either way
-// (TestMemoDedupesRepeatedRuns holds that), so the only thing this
-// measures is wall-clock. The Speedup ratio is gated by scripts/benchgate
-// like the engine and thermal ratios.
-type sweepBench struct {
-	Config      string  `json:"config"`
-	ColdSeconds float64 `json:"cold_seconds"`
-	WarmSeconds float64 `json:"warm_seconds"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// surrogateBench is the surrogate fast-path figure (schema 9): uncached
-// run-query throughput through one in-process server's full handler
-// stack, exact mode vs surrogate mode. Every query carries a fresh
-// seed, so the response cache and the memo layer never hit — exact
-// queries pay a full simulation, surrogate queries are answered from
-// the activated fit (seeds pool in the surrogate key, and the
-// differential suite plus doctor check 14 hold the answers to the
-// advertised error bound). Requests are dispatched straight into the
-// handler (no kernel sockets): both sides include identical
-// decode/validate/serve overhead, and the Speedup ratio is the
-// server-side cost ratio — the capacity-planning number — rather than a
-// loopback RTT measurement.
-type surrogateBench struct {
-	Config           string  `json:"config"`
-	ExactQueries     int     `json:"exact_queries"`
-	SurrogateQueries int     `json:"surrogate_queries"`
-	ExactRPS         float64 `json:"exact_rps"`
-	SurrogateRPS     float64 `json:"surrogate_rps"`
-	Speedup          float64 `json:"speedup"`
-}
-
-// runBench measures engine throughput, the cost of sampling a run,
-// thermal throughput, and end-to-end sweeps, and emits the report as
-// JSON (stdout, or -out FILE).
-// -quick cuts repetitions for CI; the ratios it reports are the same
-// quantities, just noisier.
+// runBench tabulates the run manifests under -manifests DIR. Timing the
+// simulator's layers is the job of `go run ./scripts/benchgate BASE`,
+// which runs the Go benchmarks of the working tree and of a base commit
+// side by side.
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "fewer repetitions (CI mode)")
-	out := fs.String("out", "", "write JSON to this file instead of stdout")
-	manifests := fs.String("manifests", "", "verify and tabulate the run manifests in this `dir` instead of benchmarking")
+	manifests := fs.String("manifests", "", "verify and tabulate the run manifests in this `dir`")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *manifests != "" {
-		return benchManifests(*manifests)
+	if *manifests == "" {
+		return fmt.Errorf("bench: -manifests DIR is required")
 	}
-	rep := benchReport{Schema: 10}
-
-	engineReps, thermalSolves, refSolves := 6, 20000, 300
-	if *quick {
-		engineReps, thermalSolves, refSolves = 3, 5000, 100
-	}
-
-	eng, err := benchEngine(engineReps)
-	if err != nil {
-		return err
-	}
-	rep.Engine = eng
-
-	ob, err := benchObserved(engineReps)
-	if err != nil {
-		return err
-	}
-	rep.Observed = ob
-
-	th, err := benchThermal(thermalSolves, refSolves)
-	if err != nil {
-		return err
-	}
-	rep.Thermal = th
-
-	e2e, err := benchFig3()
-	if err != nil {
-		return err
-	}
-	rep.Fig3 = e2e
-
-	sw, err := benchSweep()
-	if err != nil {
-		return err
-	}
-	rep.Sweep = sw
-
-	sb, err := benchSurrogate(*quick)
-	if err != nil {
-		return err
-	}
-	rep.Surrogate = sb
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out != "" {
-		return os.WriteFile(*out, data, 0o644)
-	}
-	_, err = os.Stdout.Write(data)
-	return err
+	return benchManifests(*manifests)
 }
 
 // benchManifests aggregates the run manifests under dir (written by the
 // -manifest flag of fig3/fig4/explore): every *.json that parses as a
 // manifest has its digest re-verified against its canonical bytes, then
-// the set is tabulated for a sweep-campaign overview. Non-manifest JSON
-// files (e.g. a BENCH_<n>.json living in the same results directory) are
-// skipped. A tampered or truncated manifest fails the command.
+// the set is tabulated for a sweep-campaign overview. Other JSON files
+// sharing the directory are skipped. A tampered or truncated manifest
+// fails the command.
 func benchManifests(dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -239,374 +81,4 @@ func benchManifests(dir string) error {
 	}
 	fmt.Printf("\n%d manifest(s), all digests verified\n", n)
 	return nil
-}
-
-// benchEngine times one representative simulator run — Ocean at scale
-// 0.5 on 16 cores, the fig3 configuration's heaviest point — through the
-// batched fast path and the reference loop, best of reps.
-func benchEngine(reps int) (engineBench, error) {
-	app, err := cmppower.AppByName("Ocean")
-	if err != nil {
-		return engineBench{}, err
-	}
-	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
-	if err != nil {
-		return engineBench{}, err
-	}
-	var events int64
-	run := func(unbatched bool) (float64, error) {
-		cfg := cmppower.DefaultSimConfig(16, tab.Nominal())
-		cfg.Core = app.CoreConfig()
-		cfg.Unbatched = unbatched
-		cfg.Ctx = context.Background() // the experiment rig always sets one
-		// Unmeasured warm-up: ramps the host's frequency governor before
-		// the timed reps (see benchThermal) and takes allocation noise out
-		// of the first measurement.
-		for i := 0; i < 3; i++ {
-			if _, err := cmppower.Simulate(app.Program(0.5), cfg); err != nil {
-				return 0, err
-			}
-		}
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			res, err := cmppower.Simulate(app.Program(0.5), cfg)
-			if err != nil {
-				return 0, err
-			}
-			if el := time.Since(start); el < best {
-				best = el
-			}
-			events = res.Events
-		}
-		return float64(events) / best.Seconds(), nil
-	}
-	batched, err := run(false)
-	if err != nil {
-		return engineBench{}, err
-	}
-	unbatched, err := run(true)
-	if err != nil {
-		return engineBench{}, err
-	}
-	return engineBench{
-		Workload:              "Ocean scale=0.5, 16 cores, nominal V/f",
-		Events:                events,
-		BatchedEventsPerSec:   batched,
-		UnbatchedEventsPerSec: unbatched,
-		Speedup:               batched / unbatched,
-	}, nil
-}
-
-// benchObserved times benchEngine's workload on the fused loop sampled
-// into 64 intervals and unsampled, alternating the two, best of reps
-// each. The interval length is the unsampled run's cycle count over 64,
-// so the figure keeps its meaning across builds; a governed DTM run's
-// period is instead fixed in modelled time (experiment.DTMConfig).
-func benchObserved(reps int) (observedBench, error) {
-	const intervals = 64
-	app, err := cmppower.AppByName("Ocean")
-	if err != nil {
-		return observedBench{}, err
-	}
-	tab, err := cmppower.NewDVFSTable(cmppower.Tech65())
-	if err != nil {
-		return observedBench{}, err
-	}
-	prog := app.Program(0.5)
-	cfg := cmppower.DefaultSimConfig(16, tab.Nominal())
-	cfg.Core = app.CoreConfig()
-	cfg.Ctx = context.Background()
-	probe, err := cmppower.Simulate(prog, cfg)
-	if err != nil {
-		return observedBench{}, err
-	}
-	sampled := cfg
-	sampled.SampleCycles = probe.Cycles / intervals
-	timeRun := func(cfg cmppower.SimConfig) (time.Duration, error) {
-		start := time.Now()
-		_, err := cmppower.Simulate(prog, cfg)
-		return time.Since(start), err
-	}
-	bestPlain, bestSampled := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	// One unmeasured pair warms the host as benchEngine's warm-up does.
-	for i := -1; i < reps; i++ {
-		plain, err := timeRun(cfg)
-		if err != nil {
-			return observedBench{}, err
-		}
-		obs, err := timeRun(sampled)
-		if err != nil {
-			return observedBench{}, err
-		}
-		if i >= 0 {
-			bestPlain, bestSampled = min(bestPlain, plain), min(bestSampled, obs)
-		}
-	}
-	return observedBench{
-		Workload:         fmt.Sprintf("Ocean scale=0.5, 16 cores, nominal V/f, %d intervals", intervals),
-		Intervals:        intervals,
-		UnsampledSeconds: bestPlain.Seconds(),
-		SampledSeconds:   bestSampled.Seconds(),
-		RelativeSpeed:    bestPlain.Seconds() / bestSampled.Seconds(),
-	}, nil
-}
-
-// benchThermal times repeated SteadyState solves of the 16-core chip
-// network under a fixed random power vector — the SteadyStateCoupled /
-// PowerForPeak / sweep hot path. Both solvers are warmed before timing
-// and each is measured best-of-3: the factored solve is only ~5 µs, so a
-// single timed block otherwise straddles the host's frequency-governor
-// ramp and the "host-independent" speedup ratio inherits up to ±15% of
-// clock-state noise (the reference phase, running later and longer,
-// is always fully warm, so the ratio does not cancel it).
-func benchThermal(fastSolves, refSolves int) (thermalBench, error) {
-	fp, err := floorplan.Chip(floorplan.DefaultChipConfig(16))
-	if err != nil {
-		return thermalBench{}, err
-	}
-	m, err := thermal.NewModel(fp, thermal.DefaultParams())
-	if err != nil {
-		return thermalBench{}, err
-	}
-	pw := make([]float64, m.NumNodes())
-	rng := workload.NewRNG(7)
-	for i := range pw {
-		pw[i] = 2 * rng.Float64()
-	}
-	for i := 0; i < fastSolves/4; i++ {
-		if _, err := m.SteadyState(pw); err != nil {
-			return thermalBench{}, err
-		}
-	}
-	for i := 0; i < refSolves/4; i++ {
-		if _, err := m.SteadyStateReference(pw); err != nil {
-			return thermalBench{}, err
-		}
-	}
-	const reps = 3
-	var fast, ref float64
-	for r := 0; r < reps; r++ {
-		time0 := time.Now()
-		for i := 0; i < fastSolves; i++ {
-			if _, err := m.SteadyState(pw); err != nil {
-				return thermalBench{}, err
-			}
-		}
-		if rate := float64(fastSolves) / time.Since(time0).Seconds(); rate > fast {
-			fast = rate
-		}
-		time0 = time.Now()
-		for i := 0; i < refSolves; i++ {
-			if _, err := m.SteadyStateReference(pw); err != nil {
-				return thermalBench{}, err
-			}
-		}
-		if rate := float64(refSolves) / time.Since(time0).Seconds(); rate > ref {
-			ref = rate
-		}
-	}
-	return thermalBench{
-		Network:               "16-core chip floorplan, LDLT vs Gauss-Seidel",
-		Nodes:                 m.NumNodes(),
-		FactoredSolvesPerSec:  fast,
-		ReferenceSolvesPerSec: ref,
-		Speedup:               fast / ref,
-	}, nil
-}
-
-// benchFig3 times a small end-to-end fig3 sweep: two applications across
-// the full core-count axis, serial workers, everything included (engine,
-// energy, thermal, reporting inputs).
-func benchFig3() (endToEndBench, error) {
-	const config = "scale=0.25, apps=FFT+LU, N=1..16, j=1"
-	apps, err := appsFor("FFT,LU")
-	if err != nil {
-		return endToEndBench{}, err
-	}
-	rig, err := cmppower.NewExperiment(0.25)
-	if err != nil {
-		return endToEndBench{}, err
-	}
-	start := time.Now()
-	outcomes, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4, 8, 16},
-		cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: 1})
-	if err != nil {
-		return endToEndBench{}, err
-	}
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return endToEndBench{}, fmt.Errorf("bench fig3: %s: %w", o.App, o.Err)
-		}
-	}
-	return endToEndBench{Config: config, Seconds: time.Since(start).Seconds()}, nil
-}
-
-// benchSurrogate measures the surrogate fast path end to end: one
-// in-process server, a seed-grid warm-up that activates the FFT fit,
-// then two closed-loop query phases with a fresh seed per request so
-// neither the response cache nor the memo layer ever hits. The exact
-// phase pays a full simulation per query; the surrogate phase is served
-// from the fit. Scale 0.2 is the serving default's neighborhood — the
-// speedup grows with workload scale since the surrogate's cost is flat.
-func benchSurrogate(quick bool) (surrogateBench, error) {
-	const scale = 0.2
-	exactQ, surrQ := 200, 20000
-	if quick {
-		exactQ, surrQ = 60, 5000
-	}
-	srv := server.New(server.Config{Workers: runtime.GOMAXPROCS(0)})
-	h := srv.Handler()
-	post := func(body string) ([]byte, error) {
-		req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			return nil, fmt.Errorf("bench surrogate: status %d: %s", rec.Code, rec.Body.String())
-		}
-		return rec.Body.Bytes(), nil
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		for _, mhz := range []float64{3200, 2400, 1760} {
-			for seed := 1; seed <= 2; seed++ {
-				body := fmt.Sprintf(`{"app":"FFT","n":%d,"scale":%g,"seed":%d,"freq_mhz":%g}`,
-					n, scale, seed, mhz)
-				if _, err := post(body); err != nil {
-					return surrogateBench{}, err
-				}
-			}
-		}
-	}
-	// One untimed surrogate probe: proves the fit is active (a silent
-	// fallback would "measure" simulation throughput and call it the fast
-	// path) and forces the lazy refit outside the timed region.
-	probe, err := post(fmt.Sprintf(
-		`{"app":"FFT","n":4,"scale":%g,"seed":9999,"freq_mhz":2400,"mode":"surrogate"}`, scale))
-	if err != nil {
-		return surrogateBench{}, err
-	}
-	var sr server.SurrogateRunResponse
-	if err := json.Unmarshal(probe, &sr); err != nil {
-		return surrogateBench{}, err
-	}
-	if sr.Source != "surrogate" {
-		return surrogateBench{}, fmt.Errorf("bench surrogate: probe served from %q, fit never activated", sr.Source)
-	}
-
-	start := time.Now()
-	for i := 0; i < exactQ; i++ {
-		body := fmt.Sprintf(`{"app":"FFT","n":4,"scale":%g,"seed":%d,"freq_mhz":2400}`, scale, 10000+i)
-		if _, err := post(body); err != nil {
-			return surrogateBench{}, err
-		}
-	}
-	exactSec := time.Since(start).Seconds()
-
-	start = time.Now()
-	for i := 0; i < surrQ; i++ {
-		body := fmt.Sprintf(`{"app":"FFT","n":4,"scale":%g,"seed":%d,"freq_mhz":2400,"mode":"surrogate"}`,
-			scale, 100000+i)
-		if _, err := post(body); err != nil {
-			return surrogateBench{}, err
-		}
-	}
-	surrSec := time.Since(start).Seconds()
-
-	exactRPS := float64(exactQ) / exactSec
-	surrRPS := float64(surrQ) / surrSec
-	return surrogateBench{
-		Config: fmt.Sprintf(
-			"FFT scale=%g n=4 @2400MHz, in-process handler, fresh seed per query (cache+memo cold), serial", scale),
-		ExactQueries:     exactQ,
-		SurrogateQueries: surrQ,
-		ExactRPS:         exactRPS,
-		SurrogateRPS:     surrRPS,
-		Speedup:          surrRPS / exactRPS,
-	}, nil
-}
-
-// benchSweep times the full paper campaign — fig3 (every application,
-// N = 1..16) plus fig4 (Cholesky, FMM, Radix) at -j 16 — cold versus
-// warm. Cold disables the memo, so every run simulates; warm serves
-// repeated (app, n, point) runs from the memo. Each measurement uses a
-// fresh rig so nothing leaks between reps; best of reps.
-func benchSweep() (sweepBench, error) {
-	// -quick does not reduce this benchmark: the cold/warm ratio is the
-	// share of a campaign's simulation time spent on repeated runs, which
-	// shifts with run length, so a reduced-scale measurement would not be
-	// comparable against the committed baseline, and fewer repetitions on
-	// a noisy host would flake the CI gate. A campaign pair costs ~3 s;
-	// three pairs keep the best-of stable.
-	scale, reps := 1.0, 3
-	fig3Apps, err := appsFor("all")
-	if err != nil {
-		return sweepBench{}, err
-	}
-	fig4Apps, err := appsFor("Cholesky,FMM,Radix")
-	if err != nil {
-		return sweepBench{}, err
-	}
-	counts := []int{1, 2, 4, 8, 16}
-	campaign := func(cold bool) (float64, error) {
-		// Unreference the previous campaign's rig (and its memo) and
-		// collect before timing, so each campaign reuses freed heap spans
-		// instead of faulting fresh pages inside the measured region.
-		runtime.GC()
-		rig, err := cmppower.NewExperiment(scale)
-		if err != nil {
-			return 0, err
-		}
-		cfg := cmppower.SweepConfig{
-			Retry: cmppower.DefaultRetryConfig(), Workers: 16, NoMemo: cold,
-		}
-		start := time.Now()
-		outs, err := rig.SweepScenarioIWith(context.Background(), fig3Apps, counts, cfg)
-		if err != nil {
-			return 0, err
-		}
-		outs4, err := rig.SweepScenarioIIWith(context.Background(), fig4Apps, counts, cfg)
-		if err != nil {
-			return 0, err
-		}
-		el := time.Since(start).Seconds()
-		for _, o := range append(outs, outs4...) {
-			if o.Err != nil {
-				return 0, fmt.Errorf("bench sweep: %s: %w", o.App, o.Err)
-			}
-		}
-		return el, nil
-	}
-	// One untimed warm campaign first: it grows the heap to its steady
-	// footprint, so the timed reps reuse freed spans instead of measuring
-	// page-fault noise — the same reason the engine and thermal benches
-	// warm up untimed. Cold and warm reps then interleave, best-of-reps
-	// each, so a noisy host epoch (frequency ramps, neighbor load) hits
-	// both sides instead of biasing whichever ran second.
-	if _, err := campaign(false); err != nil {
-		return sweepBench{}, err
-	}
-	coldSec, warmSec := 0.0, 0.0
-	for r := 0; r < reps; r++ {
-		c, err := campaign(true)
-		if err != nil {
-			return sweepBench{}, err
-		}
-		if coldSec == 0 || c < coldSec {
-			coldSec = c
-		}
-		w, err := campaign(false)
-		if err != nil {
-			return sweepBench{}, err
-		}
-		if warmSec == 0 || w < warmSec {
-			warmSec = w
-		}
-	}
-	return sweepBench{
-		Config:      fmt.Sprintf("fig3(all apps)+fig4(Cholesky,FMM,Radix), N=1..16, scale=%g, j=16, cold(NoMemo) vs warm(memo)", scale),
-		ColdSeconds: coldSec,
-		WarmSeconds: warmSec,
-		Speedup:     coldSec / warmSec,
-	}, nil
 }

@@ -25,7 +25,7 @@
 //	cmppower scenario validate|show|digest|diff FILE...
 //	cmppower analyze -surrogate [-apps list] [-scale S] [-out FILE]
 //	cmppower doctor [-j N]
-//	cmppower bench  [-quick] [-out FILE] [-manifests DIR]
+//	cmppower bench  -manifests DIR
 //	cmppower serve  [-addr :8080] [-j N] [-queue N] [-cache N] [-memo N] [-timeout D] [-drain D] [-surrogate=false]
 //	cmppower router [-addr :8070] [-shards N | -backends URLS] [-j N] [-autoscale] [-chaos SPEC] [-drain D]
 //	cmppower loadgen [-url U] [-body JSON] [-duration D] [-c N] [-rate R] [-ramp list] [-vary FIELD] [-json] [-strict]
@@ -250,9 +250,8 @@ Commands:
            11=surrogate-divergence, 12=scenario-divergence (10 is
            retired)
   cachesweep  L1 capacity sensitivity across core counts
-  bench    Performance benchmarks (engine events/sec, thermal solves/sec,
-           end-to-end fig3 time) as BENCH JSON for the regression gate;
-           -manifests DIR instead verifies and tabulates run manifests
+  bench    -manifests DIR: verify and tabulate the run manifests in DIR
+           (layer timing: go run ./scripts/benchgate BASE)
   serve    Long-running HTTP JSON service (run/sweep/explore endpoints,
            request coalescing, response cache, admission control with 429
            backpressure, /metrics, graceful drain on SIGTERM)

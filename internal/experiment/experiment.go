@@ -473,11 +473,15 @@ type ScenarioIIResult struct {
 // profilePoints is the frequency grid of the Scenario II off-line
 // profiling pass. The paper profiles every 200 MHz; we profile a coarser
 // monotone grid and interpolate linearly between points (as the paper does
-// between its profiled values).
+// between its profiled values). The grid takes every third ladder point,
+// or on a ladder longer than 16 points a wider stride that keeps it at
+// six points at most, so a row's profiling cost does not grow with the
+// ladder a scenario declares (up to dvfs.MaxPoints).
 func (r *Rig) profilePoints() []dvfs.OperatingPoint {
 	pts := r.Table.Points()
+	stride := max(3, (len(pts)+3)/5) // ⌈(len−1)/5⌉
 	var out []dvfs.OperatingPoint
-	for i := 0; i < len(pts); i += 3 {
+	for i := 0; i < len(pts); i += stride {
 		out = append(out, pts[i])
 	}
 	if last := pts[len(pts)-1]; len(out) == 0 || out[len(out)-1] != last {

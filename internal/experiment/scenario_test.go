@@ -256,3 +256,55 @@ func TestScenarioTechnologyAxis(t *testing.T) {
 		}
 	}
 }
+
+// Scenario II profiles at most six ladder points per budget-bound row, so
+// a scenario with a fine ladder does not multiply a row's profiling runs;
+// the shipped 16-point ladder keeps its every-third-point grid.
+func TestProfileGridBounded(t *testing.T) {
+	coarse, err := NewRigFromScenario(scenario.Baseline(), 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := coarse.Table.Points()
+	if len(pts) != 16 {
+		t.Fatalf("baseline ladder has %d points, want 16", len(pts))
+	}
+	grid := coarse.profilePoints()
+	for i, p := range grid {
+		if p != pts[3*i] {
+			t.Fatalf("16-point grid point %d is %v, want ladder point %d", i, p.Freq, 3*i)
+		}
+	}
+	if len(grid) != 6 {
+		t.Fatalf("16-point ladder profiles %d points, want 6", len(grid))
+	}
+
+	sc := scenario.Baseline()
+	sc.Name = "fine-ladder"
+	sc.DVFS.LadderStepMHz = 0.75
+	fine, err := NewRigFromScenario(sc, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fine.Table.Points()); n != 4001 {
+		t.Fatalf("fine ladder has %d points, want 4001", n)
+	}
+	fineGrid := fine.profilePoints()
+	if len(fineGrid) > len(grid) {
+		t.Errorf("4001-point ladder profiles %d points, more than the 16-point ladder's %d", len(fineGrid), len(grid))
+	}
+	if fineGrid[0] != fine.Table.Min() || fineGrid[len(fineGrid)-1] != fine.Table.Nominal() {
+		t.Errorf("fine grid spans %v..%v, want the whole ladder", fineGrid[0].Freq, fineGrid[len(fineGrid)-1].Freq)
+	}
+	app, err := splash.ByName("FMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fine.ScenarioII(app, []int{16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := res.Rows[0]; row.Point.Freq >= fine.Table.Nominal().Freq {
+		t.Errorf("N=16 row runs at %v, want a budget-bound row below nominal", row.Point.Freq)
+	}
+}

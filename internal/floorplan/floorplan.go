@@ -12,6 +12,8 @@ package floorplan
 import (
 	"fmt"
 	"math"
+
+	"cmppower/internal/check"
 )
 
 // Unit identifies the microarchitectural structure a block implements.
@@ -276,8 +278,11 @@ func Chip(cfg ChipConfig) (*Floorplan, error) {
 	if cfg.NCores < 1 || cfg.NCores > MaxCores {
 		return nil, fmt.Errorf("floorplan: NCores %d outside [1,%d]", cfg.NCores, MaxCores)
 	}
-	if cfg.DieW <= 0 || cfg.DieH <= 0 {
-		return nil, fmt.Errorf("floorplan: non-positive die dimensions %g×%g", cfg.DieW, cfg.DieH)
+	if !(cfg.DieW > 0 && check.Finite(cfg.DieW)) {
+		return nil, check.Fail("DieW", cfg.DieW, "floorplan: die width %g must be positive and finite", cfg.DieW)
+	}
+	if !(cfg.DieH > 0 && check.Finite(cfg.DieH)) {
+		return nil, check.Fail("DieH", cfg.DieH, "floorplan: die height %g must be positive and finite", cfg.DieH)
 	}
 	if cfg.L2Banks < 1 {
 		return nil, fmt.Errorf("floorplan: L2Banks must be >= 1, got %d", cfg.L2Banks)

@@ -1,11 +1,14 @@
 package floorplan
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"cmppower/internal/check"
 )
 
 func TestUnitStrings(t *testing.T) {
@@ -116,6 +119,25 @@ func TestChipRejectsBadConfig(t *testing.T) {
 	} {
 		if _, err := Chip(cfg); err == nil {
 			t.Errorf("Chip(%+v) accepted invalid config", cfg)
+		}
+	}
+}
+
+// TestChipRejectsNonFiniteDie: the die width and height refuse NaN and
+// ±Inf with a *check.Error naming the field.
+func TestChipRejectsNonFiniteDie(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, field := range []string{"DieW", "DieH"} {
+			cfg := DefaultChipConfig(4)
+			if field == "DieW" {
+				cfg.DieW = v
+			} else {
+				cfg.DieH = v
+			}
+			var ce *check.Error
+			if _, err := Chip(cfg); !errors.As(err, &ce) || ce.Field != field {
+				t.Errorf("%s = %g: Chip gave %v, want a *check.Error on %s", field, v, err, field)
+			}
 		}
 	}
 }

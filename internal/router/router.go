@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -44,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cmppower/internal/check"
 	"cmppower/internal/faults"
 	"cmppower/internal/identity"
 	"cmppower/internal/obs"
@@ -86,7 +88,7 @@ type Config struct {
 	ScaleMin int
 	ScaleMax int
 	// ScaleUpQueue is the mean per-shard queue depth that triggers a
-	// scale-up (default 1.0); any admission rejection in the window also
+	// scale-up (0 means 1.0); any admission rejection in the window also
 	// triggers one.
 	ScaleUpQueue float64
 	// ScaleDownIdleTicks is how many consecutive idle control ticks
@@ -156,7 +158,7 @@ func (c Config) withDefaults() Config {
 	if c.ScaleMax <= 0 {
 		c.ScaleMax = 8
 	}
-	if c.ScaleUpQueue <= 0 {
+	if c.ScaleUpQueue == 0 {
 		c.ScaleUpQueue = 1.0
 	}
 	if c.ScaleDownIdleTicks <= 0 {
@@ -232,6 +234,9 @@ var errChaos = errors.New("router: chaos-injected backend error")
 // starts the health, autoscaler, and chaos loops. No client-facing
 // socket is opened until Serve.
 func New(cfg Config) (*Router, error) {
+	if !check.In(cfg.ScaleUpQueue, 0, math.MaxFloat64) {
+		return nil, check.Fail("ScaleUpQueue", cfg.ScaleUpQueue, "router: scale-up queue depth %g must be finite and non-negative", cfg.ScaleUpQueue)
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) > 0 && cfg.Shards > 0 {
 		return nil, fmt.Errorf("router: Backends and Shards are mutually exclusive")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cmppower/internal/check"
 	"cmppower/internal/faults"
 	"cmppower/internal/identity"
 	"cmppower/internal/server"
@@ -215,6 +217,12 @@ func TestConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New accepted an invalid config", tc.name)
+		}
+	}
+	for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		var ce *check.Error
+		if _, err := New(Config{Backends: []string{"http://x"}, ScaleUpQueue: q}); !errors.As(err, &ce) || ce.Field != "ScaleUpQueue" {
+			t.Errorf("ScaleUpQueue %g: New gave %v, want a *check.Error on ScaleUpQueue", q, err)
 		}
 	}
 }

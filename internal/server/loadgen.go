@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -29,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cmppower/internal/check"
 	"cmppower/internal/traffic"
 )
 
@@ -76,8 +78,8 @@ func (c LoadConfig) withDefaults() (LoadConfig, error) {
 			return c, fmt.Errorf("loadgen: ramp step %d", n)
 		}
 	}
-	if c.Rate < 0 {
-		return c, fmt.Errorf("loadgen: negative rate %g", c.Rate)
+	if !check.In(c.Rate, 0, math.MaxFloat64) {
+		return c, check.Fail("Rate", c.Rate, "loadgen: rate %g must be finite and non-negative", c.Rate)
 	}
 	if c.Rate > 0 && len(c.Ramp) > 0 {
 		return c, fmt.Errorf("loadgen: -rate and -ramp are mutually exclusive")

@@ -3,13 +3,17 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cmppower/internal/check"
 )
 
 // TestLoadClosedLoop drives a fast stub server and checks the basic
@@ -177,6 +181,12 @@ func TestLoadConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Load(context.Background(), cfg); err == nil {
 			t.Errorf("config %d accepted, want error", i)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var ce *check.Error
+		if _, err := Load(context.Background(), LoadConfig{URL: "x", Rate: rate}); !errors.As(err, &ce) || ce.Field != "Rate" {
+			t.Errorf("Rate %g: Load gave %v, want a *check.Error on Rate", rate, err)
 		}
 	}
 }

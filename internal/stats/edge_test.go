@@ -10,41 +10,6 @@ import (
 // every app failed) or contain zeros (an idle-power column). This file
 // pins the contract at those edges; the nominal paths live in stats_test.go.
 
-func TestGeoMeanEdges(t *testing.T) {
-	cases := []struct {
-		name    string
-		xs      []float64
-		want    float64
-		wantErr bool
-	}{
-		{"empty", nil, 0, true},
-		{"single", []float64{4}, 4, false},
-		{"pair", []float64{2, 8}, 4, false},
-		{"contains zero", []float64{1, 0, 4}, 0, true},
-		{"contains negative", []float64{1, -2, 4}, 0, true},
-		{"all negative", []float64{-1, -2}, 0, true},
-		{"tiny positive", []float64{1e-300, 1e-300}, 1e-300, false},
-		{"large positive", []float64{1e150, 1e150}, 1e150, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, err := GeoMean(c.xs)
-			if c.wantErr {
-				if err == nil {
-					t.Fatalf("GeoMean(%v) = %g, want error", c.xs, got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("GeoMean(%v): %v", c.xs, err)
-			}
-			if math.Abs(got-c.want) > 1e-9*c.want {
-				t.Fatalf("GeoMean(%v) = %g, want %g", c.xs, got, c.want)
-			}
-		})
-	}
-}
-
 func TestEmptySliceSummaries(t *testing.T) {
 	// Min/Max return the identity of their fold so callers can keep folding;
 	// Mean/Sum/Std return 0. All four must be safe on nil.

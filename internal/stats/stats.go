@@ -68,21 +68,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// GeoMean returns the geometric mean of xs; all entries must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: geomean of empty slice")
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %g", x)
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
 // Series is a sampled function y(x) with strictly increasing x.
 type Series struct {
 	X, Y []float64

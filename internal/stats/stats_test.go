@@ -28,25 +28,6 @@ func TestMeanSumMinMax(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean=%g, want 4", got)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("accepted empty")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("accepted zero")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("accepted negative")
-	}
-}
-
 func TestNewSeriesValidation(t *testing.T) {
 	if _, err := NewSeries([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("accepted length mismatch")

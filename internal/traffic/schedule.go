@@ -106,6 +106,9 @@ func Compile(spec *Spec) (*Schedule, error) {
 			if atUs >= horizonUs {
 				break
 			}
+			if len(all) >= MaxArrivals {
+				return nil, fmt.Errorf("traffic: client %q takes the schedule past %g arrivals", c.Name, MaxArrivals)
+			}
 			tmpl := chooseTemplate(c.Requests, params)
 			body, err := buildBody(tmpl, params, spec.Seed, &varySeq)
 			if err != nil {

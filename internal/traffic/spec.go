@@ -20,8 +20,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
+	"cmppower/internal/check"
 	"cmppower/internal/scenario"
 	"cmppower/internal/splash"
 )
@@ -59,6 +61,14 @@ func NormalizeClass(s string) string {
 	}
 	return ClassOther
 }
+
+// MaxArrivals bounds a schedule's arrivals. Validate refuses a spec whose
+// expected count, rate_rps × duration_sec, exceeds it, counted before any
+// draw, and Compile refuses one whose draws overshoot it (a heavy-tailed
+// process with extreme cv or shape can). Compile builds one request body
+// per arrival, about 1.3 µs each; the largest in-repo compile, the
+// benchmark's serve-exact closed loop, asks for about 1.1·10⁵.
+const MaxArrivals = 1e6
 
 // Spec is the root of a traffic spec file.
 type Spec struct {
@@ -169,11 +179,15 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 
 // Validate rejects a malformed spec with the first problem found.
 func (s *Spec) Validate() error {
-	if s.RateRPS <= 0 {
-		return fmt.Errorf("traffic: rate_rps %g must be > 0", s.RateRPS)
+	if !(s.RateRPS > 0 && check.Finite(s.RateRPS)) {
+		return check.Fail("rate_rps", s.RateRPS, "traffic: rate_rps %g must be positive and finite", s.RateRPS)
 	}
-	if s.DurationSec <= 0 {
-		return fmt.Errorf("traffic: duration_sec %g must be > 0", s.DurationSec)
+	if !(s.DurationSec > 0 && check.Finite(s.DurationSec)) {
+		return check.Fail("duration_sec", s.DurationSec, "traffic: duration_sec %g must be positive and finite", s.DurationSec)
+	}
+	if n := s.RateRPS * s.DurationSec; n > MaxArrivals {
+		return check.Fail("rate_rps", s.RateRPS,
+			"traffic: rate_rps %g over duration_sec %g asks for %.3g arrivals, more than %g", s.RateRPS, s.DurationSec, n, MaxArrivals)
 	}
 	if len(s.Clients) == 0 {
 		return fmt.Errorf("traffic: no clients")
@@ -201,8 +215,8 @@ func (c *ClientSpec) validate() error {
 	if strings.TrimSpace(c.Name) == "" {
 		return fmt.Errorf("traffic: client with empty name")
 	}
-	if c.RateFraction <= 0 || c.RateFraction > 1 {
-		return fmt.Errorf("traffic: client %q rate_fraction %g outside (0,1]", c.Name, c.RateFraction)
+	if !(c.RateFraction > 0 && c.RateFraction <= 1) {
+		return check.Fail("rate_fraction", c.RateFraction, "traffic: client %q rate_fraction %g outside (0,1]", c.Name, c.RateFraction)
 	}
 	switch c.Class {
 	case ClassInteractive, ClassBatch, ClassSweep:
@@ -233,12 +247,12 @@ func (a *ArrivalSpec) validate(client string) error {
 	switch a.Process {
 	case "poisson", "fixed":
 	case "gamma":
-		if a.CV < 0 {
-			return fmt.Errorf("traffic: client %q gamma cv %g must be >= 0", client, a.CV)
+		if !check.In(a.CV, 0, math.MaxFloat64) {
+			return check.Fail("cv", a.CV, "traffic: client %q gamma cv %g must be finite and >= 0", client, a.CV)
 		}
 	case "weibull":
-		if a.Shape < 0 {
-			return fmt.Errorf("traffic: client %q weibull shape %g must be >= 0", client, a.Shape)
+		if !check.In(a.Shape, 0, math.MaxFloat64) {
+			return check.Fail("shape", a.Shape, "traffic: client %q weibull shape %g must be finite and >= 0", client, a.Shape)
 		}
 	default:
 		return fmt.Errorf("traffic: client %q arrival process %q (want poisson, gamma, weibull, or fixed)", client, a.Process)
@@ -251,8 +265,8 @@ func (t *TemplateSpec) validate(client string) error {
 	if path == "" {
 		return fmt.Errorf("traffic: client %q endpoint %q (want run, sweep, or explore)", client, t.Endpoint)
 	}
-	if t.Weight < 0 {
-		return fmt.Errorf("traffic: client %q template weight %g must be >= 0", client, t.Weight)
+	if !check.In(t.Weight, 0, math.MaxFloat64) {
+		return check.Fail("weight", t.Weight, "traffic: client %q template weight %g must be finite and >= 0", client, t.Weight)
 	}
 	if path == PathRun && len(t.Apps) == 0 {
 		return fmt.Errorf("traffic: client %q run template needs apps", client)
@@ -279,8 +293,8 @@ func (t *TemplateSpec) validate(client string) error {
 		}
 	}
 	for _, mhz := range t.Freqs {
-		if mhz <= 0 {
-			return fmt.Errorf("traffic: client %q freq %g MHz must be > 0", client, mhz)
+		if !(mhz > 0 && check.Finite(mhz)) {
+			return check.Fail("freqs_mhz", mhz, "traffic: client %q freq %g MHz must be positive and finite", client, mhz)
 		}
 	}
 	if path != PathRun && len(t.Freqs) > 0 {
@@ -294,8 +308,8 @@ func (t *TemplateSpec) validate(client string) error {
 	if path != PathSweep && len(t.Scenarios) > 0 {
 		return fmt.Errorf("traffic: client %q: scenarios only apply to sweep templates", client)
 	}
-	if t.Scale < 0 || t.Scale > 4 {
-		return fmt.Errorf("traffic: client %q scale %g outside [0,4]", client, t.Scale)
+	if !check.In(t.Scale, 0, 4) {
+		return check.Fail("scale", t.Scale, "traffic: client %q scale %g outside [0,4]", client, t.Scale)
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"cmppower/internal/check"
 )
 
 // specJSON is the three-client exemplar used across the tests.
@@ -457,5 +460,46 @@ func TestTemplateChipValidation(t *testing.T) {
 	ok := `{"seed":1,"rate_rps":10,"duration_sec":1,"clients":[{"name":"c","rate_fraction":1,"class":"batch","arrival":{"process":"fixed"},"requests":[{"endpoint":"run","apps":["FFT"],"cores":[32],"chip":{"name":"wide","chip":{"total_cores":32}}}]}]}`
 	if _, err := ParseSpec(strings.NewReader(ok)); err != nil {
 		t.Errorf("32-core template on 32-core chip rejected: %v", err)
+	}
+}
+
+// TestSpecRejectsNonFinite: every float field of a spec refuses NaN, +Inf
+// and −Inf with a *check.Error naming its JSON field, and the expected
+// arrival count is bounded before any draw.
+func TestSpecRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		field string
+		set   func(*Spec, float64)
+	}{
+		{"rate_rps", func(s *Spec, v float64) { s.RateRPS = v }},
+		{"duration_sec", func(s *Spec, v float64) { s.DurationSec = v }},
+		{"rate_fraction", func(s *Spec, v float64) { s.Clients[0].RateFraction = v }},
+		{"cv", func(s *Spec, v float64) { s.Clients[1].Arrival.CV = v }},
+		{"shape", func(s *Spec, v float64) { s.Clients[2].Arrival.Shape = v }},
+		{"weight", func(s *Spec, v float64) { s.Clients[1].Requests[0].Weight = v }},
+		{"freqs_mhz", func(s *Spec, v float64) { s.Clients[0].Requests[0].Freqs = []float64{v} }},
+		{"scale", func(s *Spec, v float64) { s.Clients[2].Requests[0].Scale = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := parseTestSpec(t)
+			f.set(spec, v)
+			var ce *check.Error
+			if err := spec.Validate(); !errors.As(err, &ce) || ce.Field != f.field {
+				t.Errorf("%s = %g: Validate gave %v, want a *check.Error on %s", f.field, v, err, f.field)
+			}
+		}
+	}
+
+	spec := parseTestSpec(t)
+	spec.RateRPS, spec.DurationSec = MaxArrivals/10, 10
+	if err := spec.Validate(); err != nil {
+		t.Errorf("%g arrivals: %v", MaxArrivals, err)
+	}
+	spec.RateRPS = 1e9
+	spec.DurationSec = 1
+	var ce *check.Error
+	if err := spec.Validate(); !errors.As(err, &ce) || ce.Field != "rate_rps" {
+		t.Errorf("1e9 arrivals: Validate gave %v, want a *check.Error on rate_rps", err)
 	}
 }
